@@ -258,8 +258,9 @@ Zfost::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
 bool
 Zfost::fastStats(const ConvSpec &spec, RunStats &st) const
 {
-    st = sim::zfostClosedForm(unroll_, spec,
-                              order_ == WeightOrder::Reordered);
+    st = sim::zfostClosedForm(
+        unroll_, spec, sim::classSegments(spec, sim::ClassSplit::ZeroFree),
+        order_ == WeightOrder::Reordered);
     return true;
 }
 

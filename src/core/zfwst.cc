@@ -219,7 +219,8 @@ Zfwst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
 bool
 Zfwst::fastStats(const ConvSpec &spec, RunStats &st) const
 {
-    st = sim::zfwstClosedForm(unroll_, spec);
+    st = sim::zfwstClosedForm(
+        unroll_, spec, sim::classSegments(spec, sim::ClassSplit::ZeroFree));
     return true;
 }
 

@@ -11,12 +11,11 @@
 #include <thread>
 
 #include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "serve/socket_io.hh"
 #include "util/logging.hh"
 
 namespace ganacc {
@@ -59,12 +58,8 @@ connectOnce(const std::string &address, std::string &error)
         }
         error = fd < 0 ? std::strerror(errno) : "";
         ::freeaddrinfo(res);
-        if (fd >= 0) {
-            // Pipelined one-line requests: don't let Nagle batch them.
-            int one = 1;
-            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                         sizeof one);
-        }
+        if (fd >= 0)
+            setNoDelay(fd); // pipelined one-line requests
         return fd;
     }
     sockaddr_un addr;
@@ -114,6 +109,7 @@ Client::connect(const std::string &address, const ConnectOptions &opt)
         const int fd = connectOnce(address, error);
         if (fd >= 0) {
             fd_ = fd;
+            reader_ = LineReader(fd);
             return;
         }
         if (attempt >= opt.retries ||
@@ -134,29 +130,17 @@ Client::close()
         ::close(fd_);
         fd_ = -1;
     }
-    buf_.clear();
+    reader_ = LineReader();
 }
 
 void
 Client::sendLine(const std::string &line)
 {
     GANACC_ASSERT(fd_ >= 0, "client not connected");
-    std::string wire = line;
-    wire += '\n';
-    std::size_t off = 0;
-    while (off < wire.size()) {
-        // MSG_NOSIGNAL: a daemon draining for restart closes the
-        // connection; surface that as a catchable error (EPIPE), not
-        // a process-killing SIGPIPE — fleet::Router fails over on it.
-        ssize_t n = ::send(fd_, wire.data() + off, wire.size() - off,
-                           MSG_NOSIGNAL);
-        if (n < 0 && errno == EINTR)
-            continue; // interrupted by a signal (e.g. SIGUSR1
-                      // metrics dump) — not an error, retry
-        if (n <= 0)
-            util::fatal("client write: ", std::strerror(errno));
-        off += std::size_t(n);
-    }
+    // A daemon draining for restart closes the connection: that is a
+    // catchable error (EPIPE) — fleet::Router fails over on it.
+    if (!sendAll(fd_, line + '\n'))
+        util::fatal("client write: ", std::strerror(errno));
 }
 
 void
@@ -169,23 +153,17 @@ std::string
 Client::recvLine()
 {
     GANACC_ASSERT(fd_ >= 0, "client not connected");
-    while (true) {
-        auto nl = buf_.find('\n');
-        if (nl != std::string::npos) {
-            std::string line = buf_.substr(0, nl);
-            buf_.erase(0, nl + 1);
-            return line;
-        }
-        char chunk[4096];
-        ssize_t n = ::read(fd_, chunk, sizeof chunk);
-        if (n < 0 && errno == EINTR)
-            continue; // interrupted, not closed — retry
-        if (n < 0)
-            util::fatal("client read: ", std::strerror(errno));
-        if (n == 0)
-            util::fatal("client read: connection closed by daemon");
-        buf_.append(chunk, std::size_t(n));
+    std::string line;
+    switch (reader_.next(line)) {
+      case LineReader::Status::Line:
+        return line;
+      case LineReader::Status::Error:
+        util::fatal("client read: ", std::strerror(errno));
+      case LineReader::Status::Eof:
+        break;
     }
+    // An unterminated tail is not a response.
+    util::fatal("client read: connection closed by daemon");
 }
 
 Response

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "serve/protocol.hh"
+#include "serve/socket_io.hh"
 
 namespace ganacc {
 namespace serve {
@@ -81,7 +82,7 @@ class Client
 
   private:
     int fd_ = -1;
-    std::string buf_;
+    LineReader reader_;
 };
 
 /**

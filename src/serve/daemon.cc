@@ -12,10 +12,10 @@
 #include <deque>
 #include <functional>
 #include <istream>
+#include <list>
 #include <mutex>
 #include <ostream>
 #include <thread>
-#include <vector>
 
 #include <netdb.h>
 #include <netinet/in.h>
@@ -27,6 +27,7 @@
 #include "obs/metrics.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
+#include "serve/socket_io.hh"
 #include "util/logging.hh"
 
 namespace ganacc {
@@ -185,62 +186,6 @@ onStopSignal(int)
         g_stop_flag->store(true);
 }
 
-/** Line-buffered reader over a connected socket fd. */
-class FdLineReader
-{
-  public:
-    explicit FdLineReader(int fd) : fd_(fd) {}
-
-    /** Next full line (without '\n'); false on EOF/error. */
-    bool
-    getline(std::string &line)
-    {
-        while (true) {
-            auto nl = buf_.find('\n');
-            if (nl != std::string::npos) {
-                line = buf_.substr(0, nl);
-                buf_.erase(0, nl + 1);
-                return true;
-            }
-            char chunk[4096];
-            ssize_t n = ::read(fd_, chunk, sizeof chunk);
-            if (n < 0 && errno == EINTR)
-                continue; // interrupted by a signal, not EOF — retry
-            if (n <= 0) {
-                if (buf_.empty())
-                    return false;
-                line.swap(buf_);
-                buf_.clear();
-                return true;
-            }
-            buf_.append(chunk, std::size_t(n));
-        }
-    }
-
-  private:
-    int fd_;
-    std::string buf_;
-};
-
-bool
-writeAll(int fd, const std::string &bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        // MSG_NOSIGNAL: a client that disconnects mid-stream must
-        // cost the daemon one failed connection, not a SIGPIPE.
-        ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                           MSG_NOSIGNAL);
-        if (n < 0 && errno == EINTR)
-            continue; // the writer thread shares the process's signal
-                      // dispositions (SIGUSR1 metrics dump) — retry
-        if (n <= 0)
-            return false;
-        off += std::size_t(n);
-    }
-    return true;
-}
-
 /** Serve one accepted connection with the ordered pump loop. */
 void
 serveConnection(int fd, Engine &engine, std::atomic<std::uint64_t> &lines,
@@ -249,11 +194,16 @@ serveConnection(int fd, Engine &engine, std::atomic<std::uint64_t> &lines,
     static obs::Gauge &connections = obs::Registry::instance().gauge(
         "ganacc_serve_connections", "live client connections");
     connections.add(1);
-    FdLineReader reader(fd);
+    LineReader reader(fd);
+    // On EOF or a read error the unterminated tail still counts as
+    // the stream's last line.
     const ServeTotals totals = pumpOrderedStream(
         engine,
-        [&reader](std::string &line) { return reader.getline(line); },
-        [fd](const std::string &bytes) { return writeAll(fd, bytes); });
+        [&reader](std::string &line) {
+            return reader.next(line) == LineReader::Status::Line ||
+                   reader.takeRest(line);
+        },
+        [fd](const std::string &bytes) { return sendAll(fd, bytes); });
     lines.fetch_add(totals.lines, std::memory_order_relaxed);
     responses.fetch_add(totals.responses, std::memory_order_relaxed);
     ::close(fd);
@@ -279,8 +229,23 @@ serveListener(int listener, Engine &engine,
 {
     std::atomic<std::uint64_t> lines{0};
     std::atomic<std::uint64_t> responses{0};
-    std::vector<std::thread> conns;
+    struct Conn
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+    std::list<Conn> conns;
     while (!stop.load()) {
+        // Join the connections that have closed, so each one's stack
+        // is released now rather than at shutdown.
+        for (auto it = conns.begin(); it != conns.end();) {
+            if (!it->done.load()) {
+                ++it;
+                continue;
+            }
+            it->thread.join();
+            it = conns.erase(it);
+        }
         pollfd pfd{listener, POLLIN, 0};
         int r = ::poll(&pfd, 1, 200 /* ms: stop-flag latency */);
         // SIGUSR1 dumps are serviced here, on a normal thread within
@@ -293,14 +258,20 @@ serveListener(int listener, Engine &engine,
         int fd = ::accept(listener, nullptr, nullptr);
         if (fd < 0)
             continue;
-        conns.emplace_back([fd, &engine, &lines, &responses] {
-            serveConnection(fd, engine, lines, responses);
-        });
+        // Responses are one line each; don't let Nagle hold one back
+        // until the client ACKs the previous.
+        setNoDelay(fd);
+        Conn &conn = conns.emplace_back();
+        conn.thread = std::thread(
+            [fd, &engine, &lines, &responses, &done = conn.done] {
+                serveConnection(fd, engine, lines, responses);
+                done.store(true);
+            });
     }
     // Drain: no new connections; live ones finish their streams.
     ::close(listener);
-    for (auto &t : conns)
-        t.join();
+    for (Conn &conn : conns)
+        conn.thread.join();
     engine.drain();
 
     ServeTotals totals;

@@ -7,10 +7,11 @@
  * partition of the output range equals the count over the whole range
  * (the cycle walks tile that range, the closed forms do not). Each
  * function steps the schedule *segments* its walk steps cycles:
- * kernel positions (NLR, OST), streamed-axis classes (WST), parity
- * classes (ZFOST, ZFWST) and resident chunks (ZFWST) — every
- * contribution inside a segment is a product of per-axis counts, so
- * idle, drain and zero-skip stretches are jumped, never walked.
+ * kernel positions (NLR), streamed-axis classes (WST), the output
+ * classes of sim/segments (OST, ZFOST, ZFWST) and resident chunks
+ * (ZFWST) — every contribution inside a segment is a product of
+ * per-axis counts, so idle, drain and zero-skip stretches are jumped,
+ * never walked.
  */
 
 #include "sim/closed_form.hh"
@@ -19,7 +20,6 @@
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
-#include <vector>
 
 #include "util/logging.hh"
 
@@ -30,12 +30,6 @@ namespace {
 
 using u64 = std::uint64_t;
 
-u64
-ceilDiv(u64 a, u64 b)
-{
-    return (a + b - 1) / b;
-}
-
 SimEngine
 engineFromEnv()
 {
@@ -45,7 +39,7 @@ engineFromEnv()
     if (auto e = simEngineFromName(env))
         return *e;
     util::warn("GANACC_ENGINE='", env,
-               "' is not walk|fast|auto; using auto");
+               "' is not walk|auto; using auto");
     return SimEngine::Auto;
 }
 
@@ -54,23 +48,6 @@ engineCell()
 {
     static std::atomic<SimEngine> cell{engineFromEnv()};
     return cell;
-}
-
-/** The kernel rows (or columns) a ZFOST/ZFWST parity class streams:
- *  not structural kernel zeros, and parity-compatible with the input
- *  stuffing (plain C++ `%` — negative remainders match the walk). */
-std::vector<int>
-classKernelAxis(const ConvSpec &s, int k_extent, bool row, int c, int z)
-{
-    std::vector<int> eff;
-    for (int k = 0; k < k_extent; ++k) {
-        if (row ? s.kernelRowZero(k) : s.kernelColZero(k))
-            continue;
-        if (z > 1 && (c + k - s.pad) % z != 0)
-            continue;
-        eff.push_back(k);
-    }
-    return eff;
 }
 
 /** Per-axis WST stream counts for one kernel coordinate: input
@@ -111,7 +88,6 @@ simEngineName(SimEngine engine)
     switch (engine) {
       case SimEngine::Auto: return "auto";
       case SimEngine::Walk: return "walk";
-      case SimEngine::Fast: return "fast";
     }
     util::panic("unknown sim engine");
 }
@@ -123,8 +99,7 @@ simEngineFromName(const std::string &name)
     low.reserve(name.size());
     for (char c : name)
         low += char(std::tolower(static_cast<unsigned char>(c)));
-    for (SimEngine e :
-         {SimEngine::Auto, SimEngine::Walk, SimEngine::Fast})
+    for (SimEngine e : {SimEngine::Auto, SimEngine::Walk})
         if (simEngineName(e) == low)
             return e;
     return std::nullopt;
@@ -256,144 +231,58 @@ wstClosedForm(const Unroll &u, const ConvSpec &s)
 }
 
 /**
- * OST: an output tile is pinned per pass; every (ofb, tyb, txb, c,
- * ky, kx) combination is one cycle. Input-register traffic depends on
- * whether raster weight order still shifts (stride 1) or reloads the
- * tile (strided).
+ * ZFOST: per output class, a pinned tile per pass and one cycle per
+ * scheduled kernel position. OST is the one-class case with the raster
+ * feed. The reordered weight feed keeps the register array shifting
+ * even on strided jobs; the raster feed loses the shift alignment
+ * there and reloads the tile every cycle.
  */
 RunStats
-ostClosedForm(const Unroll &u, const ConvSpec &s)
+zfostClosedForm(const Unroll &u, const ConvSpec &s,
+                const std::vector<ClassSegment> &classes,
+                bool reordered_feed)
 {
     RunStats st;
     st.nPes = u64(u.pOx) * u.pOy * u.pOf;
 
-    const u64 oh = u64(s.oh), ow = u64(s.ow);
-    const u64 n_ofb = ceilDiv(u64(s.nof), u64(u.pOf));
-    const u64 n_tyb = ceilDiv(oh, u64(u.pOy));
-    const u64 n_txb = ceilDiv(ow, u64(u.pOx));
-    const u64 kpos = u64(s.kh) * s.kw;
-
-    st.cycles = n_ofb * n_tyb * n_txb * s.nif * kpos;
-    st.weightLoads = u64(s.nof) * n_tyb * n_txb * s.nif * kpos;
-
-    // Per (ofb, tile, c): full tile at the first kernel position; at
-    // stride 1 each later position shifts in one row (kx == 0) or one
-    // column; strided raster order reloads the tile every cycle.
-    // Summed over the tile grid: sum(tile) = oh*ow,
-    // sum(tx_cnt) = n_tyb*ow, sum(ty_cnt) = n_txb*oh.
-    u64 loads_all_tiles;
-    if (s.stride == 1)
-        loads_all_tiles = oh * ow + u64(s.kh - 1) * n_tyb * ow +
-                          u64(s.kh) * u64(s.kw - 1) * n_txb * oh;
-    else
-        loads_all_tiles = kpos * oh * ow;
-    st.inputLoads = n_ofb * s.nif * loads_all_tiles;
-
-    // Occupancy: scheduled slots cover the whole tile; effective ones
-    // are the per-axis non-zero counts, separable per kernel position.
-    u64 eff_positions = 0;
-    for (int ky = 0; ky < s.kh; ++ky) {
-        if (s.kernelRowZero(ky))
-            continue;
-        u64 rows = u64(countNonzeroCoords(0, s.oh, s.stride, ky, s.pad,
-                                          s.ih, s.inZeroStride,
-                                          s.inOrigH));
-        for (int kx = 0; kx < s.kw; ++kx) {
-            if (s.kernelColZero(kx))
-                continue;
-            eff_positions +=
-                rows * u64(countNonzeroCoords(0, s.ow, s.stride, kx,
-                                              s.pad, s.iw,
-                                              s.inZeroStride,
-                                              s.inOrigW));
-        }
-    }
-    const u64 scheduled = u64(s.nof) * s.nif * kpos * oh * ow;
-    st.effectiveMacs = u64(s.nof) * s.nif * eff_positions;
-    st.ineffectualMacs = scheduled - st.effectiveMacs;
-    st.idlePeSlots = st.nPes * st.cycles - scheduled;
-
-    st.outputWrites =
-        s.fourDimOutput ? u64(s.nof) * s.nif * oh * ow
-                        : u64(s.nof) * oh * ow;
-    return st;
-}
-
-/**
- * ZFOST: OST per parity class of the zero-stuffed output, with the
- * class's effective kernel positions only. The reordered weight feed
- * keeps the register array shifting even on strided jobs; the raster
- * ablation loses the shift alignment there and reloads the tile every
- * cycle.
- */
-RunStats
-zfostClosedForm(const Unroll &u, const ConvSpec &s, bool reordered_feed)
-{
-    RunStats st;
-    st.nPes = u64(u.pOx) * u.pOy * u.pOf;
-
-    const int z = s.inZeroStride;
-    GANACC_ASSERT(z == 1 || s.stride == 1,
-                  "stuffed input with strided streaming is not a GAN "
-                  "pattern: ", s.describe());
     const bool shifts = reordered_feed || s.stride == 1;
     const u64 n_ofb = ceilDiv(u64(s.nof), u64(u.pOf));
+    const u64 maps = u64(s.nof) * s.nif;
 
-    for (int cy = 0; cy < z && cy < s.oh; ++cy) {
-        for (int cx = 0; cx < z && cx < s.ow; ++cx) {
-            const u64 n_y = u64((s.oh - cy + z - 1) / z);
-            const u64 n_x = u64((s.ow - cx + z - 1) / z);
-            std::vector<int> eff_ky =
-                classKernelAxis(s, s.kh, true, cy, z);
-            std::vector<int> eff_kx =
-                classKernelAxis(s, s.kw, false, cx, z);
-            if (eff_ky.empty() || eff_kx.empty())
-                continue;
-            const u64 n_ky = eff_ky.size(), n_kx = eff_kx.size();
-            const u64 n_tyb = ceilDiv(n_y, u64(u.pOy));
-            const u64 n_txb = ceilDiv(n_x, u64(u.pOx));
+    for (const ClassSegment &c : classes) {
+        if (c.empty())
+            continue;
+        const u64 kpos = c.kRows * c.kCols;
+        const u64 n_tyb = ceilDiv(c.nY, u64(u.pOy));
+        const u64 n_txb = ceilDiv(c.nX, u64(u.pOx));
+        const u64 cycles = n_ofb * n_tyb * n_txb * s.nif * kpos;
 
-            st.cycles += n_ofb * n_tyb * n_txb * s.nif * n_ky * n_kx;
-            st.weightLoads +=
-                u64(s.nof) * n_tyb * n_txb * s.nif * n_ky * n_kx;
+        st.cycles += cycles;
+        st.weightLoads += u64(s.nof) * n_tyb * n_txb * s.nif * kpos;
 
-            // Shifting feed: tile at the first kernel position, a row
-            // (tx_cnt) at each later ky step, a column (ty_cnt)
-            // otherwise. Without the shift, every cycle reloads the
-            // tile.
-            if (shifts)
-                st.inputLoads +=
-                    n_ofb * s.nif *
-                    (n_y * n_x + (n_ky - 1) * n_tyb * n_x +
-                     n_ky * (n_kx - 1) * n_txb * n_y);
-            else
-                st.inputLoads +=
-                    n_ofb * s.nif * (n_ky * n_kx * n_y * n_x);
+        // Shifting feed, per (ofb, tile, c): the tile at the first
+        // kernel position, a row (tx_cnt) at each later kernel-row
+        // step, a column (ty_cnt) otherwise. Summed over the tile
+        // grid: sum(tile) = nY*nX, sum(tx_cnt) = n_tyb*nX,
+        // sum(ty_cnt) = n_txb*nY. Without the shift, every cycle
+        // reloads the tile.
+        if (shifts)
+            st.inputLoads += n_ofb * s.nif *
+                             (c.nY * c.nX + (c.kRows - 1) * n_tyb * c.nX +
+                              c.kRows * (c.kCols - 1) * n_txb * c.nY);
+        else
+            st.inputLoads += n_ofb * s.nif * kpos * c.nY * c.nX;
 
-            u64 rows_sum = 0, cols_sum = 0;
-            for (int ky : eff_ky)
-                rows_sum += u64(countNonzeroCoords(
-                    0, int(n_y), z * s.stride,
-                    cy * s.stride + ky - s.pad, 0, s.ih, s.inZeroStride,
-                    s.inOrigH));
-            for (int kx : eff_kx)
-                cols_sum += u64(countNonzeroCoords(
-                    0, int(n_x), z * s.stride,
-                    cx * s.stride + kx - s.pad, 0, s.iw, s.inZeroStride,
-                    s.inOrigW));
-            const u64 scheduled =
-                u64(s.nof) * s.nif * n_ky * n_kx * n_y * n_x;
-            st.effectiveMacs += u64(s.nof) * s.nif * rows_sum * cols_sum;
-            st.ineffectualMacs +=
-                scheduled - u64(s.nof) * s.nif * rows_sum * cols_sum;
-            st.idlePeSlots +=
-                st.nPes * (n_ofb * n_tyb * n_txb * s.nif * n_ky * n_kx) -
-                scheduled;
+        // Occupancy: scheduled slots cover the whole tile; effective
+        // ones factorize per axis.
+        const u64 scheduled = maps * kpos * c.nY * c.nX;
+        const u64 effective = maps * c.rowSum * c.colSum;
+        st.effectiveMacs += effective;
+        st.ineffectualMacs += scheduled - effective;
+        st.idlePeSlots += st.nPes * cycles - scheduled;
 
-            st.outputWrites += s.fourDimOutput
-                                   ? u64(s.nof) * s.nif * n_y * n_x
-                                   : u64(s.nof) * n_y * n_x;
-        }
+        st.outputWrites +=
+            (s.fourDimOutput ? maps : u64(s.nof)) * c.nY * c.nX;
     }
     return st;
 }
@@ -404,75 +293,53 @@ zfostClosedForm(const Unroll &u, const ConvSpec &s, bool reordered_feed)
  * the adder tree.
  */
 RunStats
-zfwstClosedForm(const Unroll &u, const ConvSpec &s)
+zfwstClosedForm(const Unroll &u, const ConvSpec &s,
+                const std::vector<ClassSegment> &classes)
 {
     RunStats st;
     st.nPes = u64(u.pKx) * u.pKy * u.pOf;
 
-    const int z = s.inZeroStride;
-    GANACC_ASSERT(z == 1 || s.stride == 1,
-                  "stuffed input with strided streaming is not a GAN "
-                  "pattern: ", s.describe());
-    const int cap = u.pKx * u.pKy;
+    const u64 cap = u64(u.pKx) * u.pKy;
     const u64 n_ofb = ceilDiv(u64(s.nof), u64(u.pOf));
+    const u64 maps = u64(s.nof) * s.nif;
 
-    for (int cy = 0; cy < z && cy < s.oh; ++cy) {
-        for (int cx = 0; cx < z && cx < s.ow; ++cx) {
-            const u64 n_y = u64((s.oh - cy + z - 1) / z);
-            const u64 n_x = u64((s.ow - cx + z - 1) / z);
-            std::vector<int> eff_ky =
-                classKernelAxis(s, s.kh, true, cy, z);
-            std::vector<int> eff_kx =
-                classKernelAxis(s, s.kw, false, cx, z);
-            const u64 n_eff = u64(eff_ky.size()) * eff_kx.size();
-            if (n_eff == 0)
-                continue;
-            const u64 n_chunks = ceilDiv(n_eff, u64(cap));
-            const u64 positions = n_y * n_x;
+    for (const ClassSegment &c : classes) {
+        const u64 n_eff = c.kRows * c.kCols;
+        if (n_eff == 0)
+            continue;
+        const u64 n_chunks = ceilDiv(n_eff, cap);
+        const u64 positions = c.nY * c.nX;
+        const u64 cycles = n_ofb * n_chunks * s.nif * positions;
 
-            st.cycles += n_ofb * n_chunks * s.nif * positions;
-            st.weightLoads += u64(s.nof) * n_eff;
+        st.cycles += cycles;
+        st.weightLoads += u64(s.nof) * n_eff;
 
-            // Register traffic per (ofb, chunk, c): the chunk's
-            // footprint once, then a column shift per later output.
-            u64 chunk_loads = 0;
-            for (u64 chunk = 0; chunk < n_chunks; ++chunk) {
-                u64 e_cnt = std::min(u64(cap), n_eff - chunk * cap);
-                chunk_loads +=
-                    e_cnt + (positions - 1) * std::min(e_cnt, u64(u.pKy));
-            }
-            st.inputLoads += n_ofb * s.nif * chunk_loads;
-
-            // Effective slots factorize exactly as in ZFOST; the
-            // chunking only partitions the same kernel-element set.
-            u64 rows_sum = 0, cols_sum = 0;
-            for (int ky : eff_ky)
-                rows_sum += u64(countNonzeroCoords(
-                    0, int(n_y), z * s.stride,
-                    cy * s.stride + ky - s.pad, 0, s.ih, s.inZeroStride,
-                    s.inOrigH));
-            for (int kx : eff_kx)
-                cols_sum += u64(countNonzeroCoords(
-                    0, int(n_x), z * s.stride,
-                    cx * s.stride + kx - s.pad, 0, s.iw, s.inZeroStride,
-                    s.inOrigW));
-            const u64 scheduled = u64(s.nof) * s.nif * positions * n_eff;
-            st.effectiveMacs += u64(s.nof) * s.nif * rows_sum * cols_sum;
-            st.ineffectualMacs +=
-                scheduled - u64(s.nof) * s.nif * rows_sum * cols_sum;
-            st.idlePeSlots +=
-                st.nPes * (n_ofb * n_chunks * s.nif * positions) -
-                scheduled;
-
-            st.outputWrites += u64(s.nof) * n_chunks * s.nif * positions;
-            // Accumulating passes read the partial back: every pass
-            // but the first per output for accumulating jobs, every
-            // chunk but the first per (c, output) for four-dim jobs.
-            st.outputReads +=
-                s.fourDimOutput
-                    ? u64(s.nof) * (n_chunks - 1) * s.nif * positions
-                    : u64(s.nof) * (n_chunks * s.nif - 1) * positions;
+        // Register traffic per (ofb, chunk, c): the chunk's footprint
+        // once, then a column shift per later output.
+        u64 chunk_loads = 0;
+        for (u64 chunk = 0; chunk < n_chunks; ++chunk) {
+            u64 e_cnt = std::min(cap, n_eff - chunk * cap);
+            chunk_loads +=
+                e_cnt + (positions - 1) * std::min(e_cnt, u64(u.pKy));
         }
+        st.inputLoads += n_ofb * s.nif * chunk_loads;
+
+        // Effective slots factorize exactly as in ZFOST; the chunking
+        // only partitions the same kernel-element set.
+        const u64 scheduled = maps * positions * n_eff;
+        const u64 effective = maps * c.rowSum * c.colSum;
+        st.effectiveMacs += effective;
+        st.ineffectualMacs += scheduled - effective;
+        st.idlePeSlots += st.nPes * cycles - scheduled;
+
+        st.outputWrites += u64(s.nof) * n_chunks * s.nif * positions;
+        // Accumulating passes read the partial back: every pass but
+        // the first per output for accumulating jobs, every chunk but
+        // the first per (c, output) for four-dim jobs.
+        st.outputReads +=
+            s.fourDimOutput
+                ? u64(s.nof) * (n_chunks - 1) * s.nif * positions
+                : u64(s.nof) * (n_chunks * s.nif - 1) * positions;
     }
     return st;
 }

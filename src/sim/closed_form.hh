@@ -19,12 +19,17 @@
  * ZFOST-raster ablation configurations), and verify/static_bounds
  * re-exposes the same formulas as the GA-BOUNDS-DIVERGE checker.
  *
+ * OST, ZFOST and ZFWST interpret the output-class description of
+ * sim/segments instead of re-deriving the parity split; OST is the
+ * one-class case of the ZFOST form.
+ *
  * Engine selection: Architecture::run() consults simEngine() and uses
  * the fast path for timing-only, fault-free runs when the concrete
  * architecture provides one (Architecture::fastStats). Functional
  * runs always walk — they produce real output data, which no closed
- * form can. Force the choice with GANACC_ENGINE=walk|fast|auto or
- * programmatically with setSimEngine().
+ * form can. Force the walk with GANACC_ENGINE=walk (or
+ * programmatically with setSimEngine()); GANACC_ENGINE=auto or unset
+ * is the default.
  */
 
 #ifndef GANACC_SIM_CLOSED_FORM_HH
@@ -32,9 +37,11 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "sim/arch.hh"
 #include "sim/conv_spec.hh"
+#include "sim/segments.hh"
 #include "sim/stats.hh"
 
 namespace ganacc {
@@ -45,13 +52,10 @@ enum class SimEngine
 {
     Auto, ///< fast path when the architecture has one (the default)
     Walk, ///< always the per-cycle walk (the golden reference)
-    Fast, ///< fast path when available, walk otherwise — today
-          ///< identical to Auto; exists so "forced on" reads
-          ///< symmetrically with "forced off" in scripts and CI
 };
 
 /** The process-wide engine. First use reads GANACC_ENGINE
- *  (walk|fast|auto); setSimEngine() overrides. Thread-safe. */
+ *  (walk|auto); setSimEngine() overrides. Thread-safe. */
 SimEngine simEngine();
 
 /** Override the process-wide engine (tests, benches, tools). */
@@ -100,18 +104,21 @@ RunStats nlrClosedForm(const Unroll &u, const ConvSpec &s,
 /** WST: resident kernel tile, one streamed input position per cycle. */
 RunStats wstClosedForm(const Unroll &u, const ConvSpec &s);
 
-/** OST: pinned output tile, raster-order weight feed. */
-RunStats ostClosedForm(const Unroll &u, const ConvSpec &s);
-
-/** ZFOST; `reordered_feed` selects the Fig. 12(a) parity-grouped
- *  weight feed (true) or the raster-order ablation (false), which
- *  reloads the input tile every cycle on strided jobs. */
+/** ZFOST over the job's output classes; OST is the one-class case,
+ *  classSegments(s, ClassSplit::Dense) with the raster feed.
+ *  `reordered_feed` selects the Fig. 12(a) parity-grouped weight feed
+ *  (true) or raster order (false), which reloads the input tile every
+ *  cycle on strided jobs. */
 RunStats zfostClosedForm(const Unroll &u, const ConvSpec &s,
+                         const std::vector<ClassSegment> &classes,
                          bool reordered_feed);
 
-/** ZFWST: resident chunks of effective kernel elements, one output
- *  neuron per cycle through the adder tree. */
-RunStats zfwstClosedForm(const Unroll &u, const ConvSpec &s);
+/** ZFWST over the job's parity classes
+ *  (classSegments(s, ClassSplit::ZeroFree)): resident chunks of
+ *  effective kernel elements, one output neuron per cycle through the
+ *  adder tree. */
+RunStats zfwstClosedForm(const Unroll &u, const ConvSpec &s,
+                         const std::vector<ClassSegment> &classes);
 
 } // namespace sim
 } // namespace ganacc

@@ -173,7 +173,9 @@ Ost::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
 bool
 Ost::fastStats(const ConvSpec &spec, RunStats &st) const
 {
-    st = ostClosedForm(unroll_, spec);
+    st = zfostClosedForm(unroll_, spec,
+                         classSegments(spec, ClassSplit::Dense),
+                         /*reordered_feed=*/false);
     return true;
 }
 

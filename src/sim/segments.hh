@@ -1,0 +1,71 @@
+/**
+ * @file
+ * The output classes of OST, ZFOST and ZFWST, enumerated once per job.
+ *
+ * ZFOST and ZFWST split a zero-inserted T-CONV output into the z x z
+ * zero-free parity classes of Fig. 12; each class streams only the
+ * kernel rows and columns that are parity-compatible with the input
+ * stuffing and not structural zeros. OST is the one-class case: the
+ * whole output with every kernel position scheduled.
+ *
+ * The closed forms, the symbolic schedule relation and the legality
+ * checks interpret this description. The cycle walks do not: they
+ * enumerate the classes by hand and stay the independent reference
+ * the parity suites diff the interpretations against.
+ */
+
+#ifndef GANACC_SIM_SEGMENTS_HH
+#define GANACC_SIM_SEGMENTS_HH
+
+#include <cstdint>
+#include <vector>
+
+#include "sim/conv_spec.hh"
+
+namespace ganacc {
+namespace sim {
+
+/** ceil(a / b) for b > 0. */
+constexpr std::uint64_t
+ceilDiv(std::uint64_t a, std::uint64_t b)
+{
+    return (a + b - 1) / b;
+}
+
+/** One output class of a job and the kernel part it schedules. */
+struct ClassSegment
+{
+    std::uint64_t nY = 0;  ///< output rows of the class
+    std::uint64_t nX = 0;  ///< output columns of the class
+    std::uint64_t kRows = 0; ///< kernel rows the class schedules
+    std::uint64_t kCols = 0; ///< kernel columns the class schedules
+    /** Over the scheduled kernel rows that are not structural zeros:
+     *  the sum of the class rows whose input row is in bounds and
+     *  non-zero (countNonzeroCoords). colSum likewise for columns. */
+    std::uint64_t rowSum = 0;
+    std::uint64_t colSum = 0;
+
+    /** True when the class schedules no kernel position at all. */
+    bool empty() const { return kRows == 0 || kCols == 0; }
+};
+
+/** How a dataflow partitions the output map and the kernel. */
+enum class ClassSplit
+{
+    Dense,    ///< OST: one class, every kernel position scheduled
+    ZeroFree, ///< ZFOST/ZFWST: z x z parity classes, zeros skipped
+};
+
+/**
+ * The job's classes in the walks' order (cy outer, cx inner). Empty
+ * classes are kept: they still partition the output map. ZeroFree
+ * panics on a stuffed input streamed with stride > 1, which is not a
+ * GAN pattern and which the zero-free walks reject too.
+ */
+std::vector<ClassSegment> classSegments(const ConvSpec &s,
+                                        ClassSplit split);
+
+} // namespace sim
+} // namespace ganacc
+
+#endif // GANACC_SIM_SEGMENTS_HH

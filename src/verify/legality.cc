@@ -232,65 +232,37 @@ struct DimCheck
 };
 
 /** Loop bounds the unrolling must divide for a job on a dataflow.
- *  ZFOST/ZFWST bounds are per parity class of the zero-stuffed map. */
+ *  OST/ZFOST/ZFWST bounds are per output class of `m`. */
 std::vector<DimCheck>
-unrollDims(core::ArchKind kind, const Unroll &u, const ConvSpec &spec)
+unrollDims(const StaticModel &m, const Unroll &u, const ConvSpec &spec)
 {
     std::vector<DimCheck> dims;
-    switch (kind) {
+    switch (m.kind) {
       case core::ArchKind::NLR:
         if (!spec.fourDimOutput)
             dims.push_back({"nif", spec.nif, u.pIf});
-        dims.push_back({"nof", spec.nof, u.pOf});
         break;
       case core::ArchKind::WST:
         dims.push_back({"kh", spec.kh, u.pKy});
         dims.push_back({"kw", spec.kw, u.pKx});
-        dims.push_back({"nof", spec.nof, u.pOf});
         break;
       case core::ArchKind::OST:
-        dims.push_back({"oh", spec.oh, u.pOy});
-        dims.push_back({"ow", spec.ow, u.pOx});
-        dims.push_back({"nof", spec.nof, u.pOf});
-        break;
       case core::ArchKind::ZFOST: {
-        const int z = spec.inZeroStride;
-        for (int cy = 0; cy < z && cy < spec.oh; ++cy)
-            for (int cx = 0; cx < z && cx < spec.ow; ++cx) {
-                dims.push_back(
-                    {"class rows", (spec.oh - cy + z - 1) / z, u.pOy});
-                dims.push_back(
-                    {"class cols", (spec.ow - cx + z - 1) / z, u.pOx});
-            }
-        dims.push_back({"nof", spec.nof, u.pOf});
+        const bool dense = m.kind == core::ArchKind::OST;
+        for (const sim::ClassSegment &c : m.classes) {
+            dims.push_back({dense ? "oh" : "class rows", int(c.nY), u.pOy});
+            dims.push_back({dense ? "ow" : "class cols", int(c.nX), u.pOx});
+        }
         break;
       }
-      case core::ArchKind::ZFWST: {
-        const int cap = u.pKx * u.pKy;
-        const int z = spec.inZeroStride;
-        for (int cy = 0; cy < z && cy < spec.oh; ++cy)
-            for (int cx = 0; cx < z && cx < spec.ow; ++cx) {
-                int eff = 0;
-                for (int ky = 0; ky < spec.kh; ++ky) {
-                    if (spec.kernelRowZero(ky))
-                        continue;
-                    if (z > 1 && (cy + ky - spec.pad) % z != 0)
-                        continue;
-                    for (int kx = 0; kx < spec.kw; ++kx) {
-                        if (spec.kernelColZero(kx))
-                            continue;
-                        if (z > 1 && (cx + kx - spec.pad) % z != 0)
-                            continue;
-                        ++eff;
-                    }
-                }
-                if (eff > 0)
-                    dims.push_back({"class kernel elems", eff, cap});
-            }
-        dims.push_back({"nof", spec.nof, u.pOf});
+      case core::ArchKind::ZFWST:
+        for (const sim::ClassSegment &c : m.classes)
+            if (!c.empty())
+                dims.push_back({"class kernel elems",
+                                int(c.kRows * c.kCols), u.pKx * u.pKy});
         break;
-      }
     }
+    dims.push_back({"nof", spec.nof, u.pOf});
     return dims;
 }
 
@@ -361,8 +333,9 @@ checkUnroll(core::ArchKind kind, const Unroll &unroll,
         // are undefined on it.
         if (zero_free && job.inZeroStride > 1 && job.stride != 1)
             continue;
+        const StaticModel m = staticModel(kind, unroll, job);
         std::vector<const char *> offending;
-        for (const DimCheck &d : unrollDims(kind, unroll, job)) {
+        for (const DimCheck &d : unrollDims(m, unroll, job)) {
             if (d.bound % d.factor != 0 &&
                 std::find(offending.begin(), offending.end(), d.name) ==
                     offending.end())
@@ -372,7 +345,7 @@ checkUnroll(core::ArchKind kind, const Unroll &unroll,
             continue;
         // Quantify the boundary cost with the closed-form schedule:
         // the fraction of offered PE slots nothing was scheduled on.
-        sim::RunStats st = staticRunStats(kind, unroll, job);
+        const sim::RunStats &st = m.stats;
         double idle_frac =
             st.totalSlots()
                 ? double(st.idlePeSlots) / double(st.totalSlots())

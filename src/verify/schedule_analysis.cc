@@ -7,17 +7,20 @@
  * totals routed through mem::OnChipBuffer + mem::AccessTap), then the
  * per-dataflow symbolic relations, then the public checks.
  *
- * The symbolic derivations mirror sim/closed_form: totals are taken
- * from the proven closed forms, while the per-cycle *peaks* and the
- * accumulation-window population are derived here from the loop-nest
- * structure. Peak arguments rely on two facts about every paper
- * schedule: (1) maximal tiles exist — the first tile of each loop axis
- * has the full min(factor, bound) extent, and the loop nests are full
- * cross products, so maximal extents co-occur in some cycle; (2) pass-
- * boundary traffic (resident weight-tile loads, register drains)
- * attaches to a cycle that carries no other traffic on the same port,
- * because passes are at least one cycle long and the per-cycle port
- * sets are disjoint from the boundary port sets.
+ * The symbolic derivations interpret the same static model as the
+ * closed forms (verify::staticModel): totals are taken from the proven
+ * closed forms, while the per-cycle *peaks* and the accumulation-window
+ * population are derived here from the loop-nest structure — for OST,
+ * ZFOST and ZFWST over the same output-class description
+ * (sim/segments) the closed forms sum over. Peak arguments rely on
+ * two facts about every paper schedule: (1) maximal tiles exist — the
+ * first tile of each loop axis has the full min(factor, bound) extent,
+ * and the loop nests are full cross products, so maximal extents
+ * co-occur in some cycle; (2) pass-boundary traffic (resident
+ * weight-tile loads, register drains) attaches to a cycle that carries
+ * no other traffic on the same port, because passes are at least one
+ * cycle long and the per-cycle port sets are disjoint from the
+ * boundary port sets.
  */
 
 #include "verify/schedule_analysis.hh"
@@ -31,12 +34,13 @@
 #include "mem/access_tap.hh"
 #include "mem/onchip_buffer.hh"
 #include "obs/metrics.hh"
-#include "sim/closed_form.hh"
 #include "sim/cnv.hh"
 #include "sim/rst.hh"
 #include "sim/schedule_recorder.hh"
+#include "sim/segments.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
+#include "verify/static_bounds.hh"
 
 namespace ganacc {
 namespace verify {
@@ -50,16 +54,12 @@ namespace {
 
 using u64 = std::uint64_t;
 
-u64
-ceilDiv(u64 a, u64 b)
-{
-    return (a + b - 1) / b;
-}
+using sim::ceilDiv;
 
 u64
-umin(int factor, int bound)
+umin(int factor, u64 bound)
 {
-    return u64(std::min(factor, bound));
+    return std::min(u64(factor), bound);
 }
 
 /** Location string for diagnostics. */
@@ -357,10 +357,9 @@ fromClosedForm(const RunStats &st)
 }
 
 ScheduleRelation
-nlrSchedule(const Unroll &u, const ConvSpec &s, bool zero_skip)
+nlrSchedule(const StaticModel &m, const Unroll &u, const ConvSpec &s)
 {
-    ScheduleRelation r =
-        fromClosedForm(sim::nlrClosedForm(u, s, zero_skip));
+    ScheduleRelation r = fromClosedForm(m.stats);
     r.windows = 1; // one job-wide write-through window
     if (r.cycles == 0)
         return r; // every position skipped: nothing ever scheduled
@@ -407,9 +406,9 @@ wstMaxAxisFanout(const ConvSpec &s, int k_extent, int pk, int in_extent,
 }
 
 ScheduleRelation
-wstSchedule(const Unroll &u, const ConvSpec &s)
+wstSchedule(const StaticModel &m, const Unroll &u, const ConvSpec &s)
 {
-    ScheduleRelation r = fromClosedForm(sim::wstClosedForm(u, s));
+    ScheduleRelation r = fromClosedForm(m.stats);
     r.windows = 1;
     // WST always cycles: every pass streams the full input plane.
     const u64 of_max = umin(u.pOf, s.nof);
@@ -441,82 +440,37 @@ wstSchedule(const Unroll &u, const ConvSpec &s)
     return r;
 }
 
+/** OST and ZFOST: per output class, one register-tile window per
+ *  (of-tile, tile[, input map]). */
 ScheduleRelation
-ostSchedule(const Unroll &u, const ConvSpec &s)
+zfostSchedule(const StaticModel &m, const Unroll &u, const ConvSpec &s)
 {
-    ScheduleRelation r = fromClosedForm(sim::ostClosedForm(u, s));
+    ScheduleRelation r = fromClosedForm(m.stats);
     const u64 of_max = umin(u.pOf, s.nof);
-    const u64 tile_max = umin(u.pOy, s.oh) * umin(u.pOx, s.ow);
-    const u64 per_tile_windows = s.fourDimOutput ? u64(s.nif) : 1;
-    r.windows = ceilDiv(u64(s.nof), u64(u.pOf)) *
-                ceilDiv(u64(s.oh), u64(u.pOy)) *
-                ceilDiv(u64(s.ow), u64(u.pOx)) * per_tile_windows;
-    // Each window's single drain covers the whole tile exactly once,
-    // so drains and output writes coincide.
-    r.cellsDrained = r.totalOutputWrites;
-    r.peakSlots = tile_max * of_max;
-    r.peakWeightLoads = of_max;
-    r.peakInputLoads = tile_max;
-    r.peakOutputReads = 0; // registers accumulate; nothing reads back
-    r.peakOutputWrites = tile_max * of_max;
-    return r;
-}
-
-/** Kernel coordinates of one axis a ZFOST/ZFWST parity class streams:
- *  not structural zeros and parity-compatible with the stuffing. */
-u64
-classAxisCount(const ConvSpec &s, int k_extent, bool row, int c, int z)
-{
-    u64 cnt = 0;
-    for (int k = 0; k < k_extent; ++k) {
-        if (row ? s.kernelRowZero(k) : s.kernelColZero(k))
-            continue;
-        if (z > 1 && (c + k - s.pad) % z != 0)
-            continue;
-        ++cnt;
-    }
-    return cnt;
-}
-
-ScheduleRelation
-zfostSchedule(const Unroll &u, const ConvSpec &s, bool reordered_feed)
-{
-    ScheduleRelation r =
-        fromClosedForm(sim::zfostClosedForm(u, s, reordered_feed));
-    const int z = s.inZeroStride;
-    const u64 of_max = umin(u.pOf, s.nof);
-    bool any_class = false;
-    for (int cy = 0; cy < z && cy < s.oh; ++cy) {
-        for (int cx = 0; cx < z && cx < s.ow; ++cx) {
-            if (classAxisCount(s, s.kh, true, cy, z) == 0 ||
-                classAxisCount(s, s.kw, false, cx, z) == 0)
-                continue; // class streams nothing: no cycles, no tiles
-            any_class = true;
-            const int n_y = (s.oh - cy + z - 1) / z;
-            const int n_x = (s.ow - cx + z - 1) / z;
-            const u64 tile_max = umin(u.pOy, n_y) * umin(u.pOx, n_x);
-            r.windows += ceilDiv(u64(s.nof), u64(u.pOf)) *
-                         ceilDiv(u64(n_y), u64(u.pOy)) *
-                         ceilDiv(u64(n_x), u64(u.pOx)) *
-                         (s.fourDimOutput ? u64(s.nif) : 1);
-            r.peakSlots = std::max(r.peakSlots, tile_max * of_max);
-            r.peakInputLoads = std::max(r.peakInputLoads, tile_max);
-            r.peakOutputWrites =
-                std::max(r.peakOutputWrites, tile_max * of_max);
-        }
-    }
-    if (any_class)
+    for (const sim::ClassSegment &c : m.classes) {
+        if (c.empty())
+            continue; // class streams nothing: no cycles, no tiles
+        const u64 tile_max = umin(u.pOy, c.nY) * umin(u.pOx, c.nX);
+        r.windows += ceilDiv(u64(s.nof), u64(u.pOf)) *
+                     ceilDiv(c.nY, u64(u.pOy)) *
+                     ceilDiv(c.nX, u64(u.pOx)) *
+                     (s.fourDimOutput ? u64(s.nif) : 1);
+        r.peakSlots = std::max(r.peakSlots, tile_max * of_max);
         r.peakWeightLoads = of_max;
-    r.peakOutputReads = 0;
+        r.peakInputLoads = std::max(r.peakInputLoads, tile_max);
+        r.peakOutputWrites =
+            std::max(r.peakOutputWrites, tile_max * of_max);
+    }
+    // Registers accumulate, so nothing reads back; each window's single
+    // drain covers its whole tile exactly once.
     r.cellsDrained = r.totalOutputWrites;
     return r;
 }
 
 ScheduleRelation
-zfwstSchedule(const Unroll &u, const ConvSpec &s)
+zfwstSchedule(const StaticModel &m, const Unroll &u, const ConvSpec &s)
 {
-    ScheduleRelation r = fromClosedForm(sim::zfwstClosedForm(u, s));
-    const int z = s.inZeroStride;
+    ScheduleRelation r = fromClosedForm(m.stats);
     const u64 cap = u64(u.pKx) * u64(u.pKy);
     const u64 of_max = umin(u.pOf, s.nof);
     bool any_class = false;
@@ -524,43 +478,36 @@ zfwstSchedule(const Unroll &u, const ConvSpec &s)
     // First two resident-load words of the walk's pass sequence, for
     // the single-cycle-first-pass coalescing case (see below).
     u64 first_n_eff = 0, first_positions = 0, second_load = 0;
-    for (int cy = 0; cy < z && cy < s.oh; ++cy) {
-        for (int cx = 0; cx < z && cx < s.ow; ++cx) {
-            const u64 n_eff = classAxisCount(s, s.kh, true, cy, z) *
-                              classAxisCount(s, s.kw, false, cx, z);
-            if (n_eff == 0)
-                continue;
-            const int n_y = (s.oh - cy + z - 1) / z;
-            const int n_x = (s.ow - cx + z - 1) / z;
-            const u64 e_max = std::min(cap, n_eff);
-            const u64 n_chunks = ceilDiv(n_eff, cap);
-            if (!any_class) {
-                first_n_eff = n_eff;
-                first_positions = u64(n_y) * u64(n_x);
-                // The second pass of the walk: the next chunk of this
-                // class, else this class again on the next of-tile,
-                // else the next class's first chunk (found below).
-                if (n_chunks > 1)
-                    second_load =
-                        std::min(cap, n_eff - cap) * of_max;
-                else if (s.nof > u.pOf)
-                    second_load =
-                        e_max * u64(std::min(u.pOf, s.nof - u.pOf));
-            } else if (second_load == 0) {
-                second_load = e_max * of_max;
-            }
-            any_class = true;
-            if (n_chunks > 1 || (!s.fourDimOutput && s.nif > 1))
-                any_accum = true;
-            r.windows += ceilDiv(u64(s.nof), u64(u.pOf));
-            // The final pass's writes drain every window cell once.
-            r.cellsDrained += u64(n_y) * u64(n_x) * u64(s.nof) *
-                              (s.fourDimOutput ? u64(s.nif) : 1);
-            r.peakSlots = std::max(r.peakSlots, e_max * of_max);
-            r.peakWeightLoads =
-                std::max(r.peakWeightLoads, e_max * of_max);
-            r.peakInputLoads = std::max(r.peakInputLoads, e_max);
+    for (const sim::ClassSegment &c : m.classes) {
+        const u64 n_eff = c.kRows * c.kCols;
+        if (n_eff == 0)
+            continue;
+        const u64 e_max = std::min(cap, n_eff);
+        const u64 n_chunks = ceilDiv(n_eff, cap);
+        if (!any_class) {
+            first_n_eff = n_eff;
+            first_positions = c.nY * c.nX;
+            // The second pass of the walk: the next chunk of this
+            // class, else this class again on the next of-tile, else
+            // the next class's first chunk (found below).
+            if (n_chunks > 1)
+                second_load = std::min(cap, n_eff - cap) * of_max;
+            else if (s.nof > u.pOf)
+                second_load =
+                    e_max * u64(std::min(u.pOf, s.nof - u.pOf));
+        } else if (second_load == 0) {
+            second_load = e_max * of_max;
         }
+        any_class = true;
+        if (n_chunks > 1 || (!s.fourDimOutput && s.nif > 1))
+            any_accum = true;
+        r.windows += ceilDiv(u64(s.nof), u64(u.pOf));
+        // The final pass's writes drain every window cell once.
+        r.cellsDrained += c.nY * c.nX * u64(s.nof) *
+                          (s.fourDimOutput ? u64(s.nif) : 1);
+        r.peakSlots = std::max(r.peakSlots, e_max * of_max);
+        r.peakWeightLoads = std::max(r.peakWeightLoads, e_max * of_max);
+        r.peakInputLoads = std::max(r.peakInputLoads, e_max);
     }
     // When the first pass is a single cycle (one channel, one output
     // position), the pended first load and the second pass's boundary
@@ -577,54 +524,46 @@ zfwstSchedule(const Unroll &u, const ConvSpec &s)
     return r;
 }
 
+/** The symbolic relation of one job's static model. */
+ScheduleRelation
+relationOf(const StaticModel &m, const Unroll &u, const ConvSpec &s)
+{
+    switch (m.kind) {
+      case ArchKind::NLR:
+        return nlrSchedule(m, u, s);
+      case ArchKind::WST:
+        return wstSchedule(m, u, s);
+      case ArchKind::OST:
+      case ArchKind::ZFOST:
+        return zfostSchedule(m, u, s);
+      case ArchKind::ZFWST:
+        return zfwstSchedule(m, u, s);
+    }
+    util::panic("unknown arch kind");
+}
+
 /** The largest accumulation window (cells) the schedule opens — the
  *  working set the register array / partial-sum buffer must hold. */
 u64
-staticMaxWindowCells(ArchKind kind, const Unroll &u, const ConvSpec &s)
+staticMaxWindowCells(const StaticModel &m, const Unroll &u,
+                     const ConvSpec &s)
 {
+    const u64 per_map = s.fourDimOutput ? u64(s.nif) : 1;
+    if (m.kind == ArchKind::NLR || m.kind == ArchKind::WST)
+        return u64(s.nof) * u64(s.oh) * u64(s.ow) * per_map;
     const u64 of_max = umin(u.pOf, s.nof);
-    const u64 job_cells = u64(s.nof) * u64(s.oh) * u64(s.ow) *
-                          (s.fourDimOutput ? u64(s.nif) : 1);
-    switch (kind) {
-      case ArchKind::NLR:
-      case ArchKind::WST:
-        return job_cells;
-      case ArchKind::OST:
-        return umin(u.pOy, s.oh) * umin(u.pOx, s.ow) * of_max;
-      case ArchKind::ZFOST: {
-        const int z = s.inZeroStride;
-        u64 best = 0;
-        for (int cy = 0; cy < z && cy < s.oh; ++cy)
-            for (int cx = 0; cx < z && cx < s.ow; ++cx) {
-                if (classAxisCount(s, s.kh, true, cy, z) == 0 ||
-                    classAxisCount(s, s.kw, false, cx, z) == 0)
-                    continue;
-                const int n_y = (s.oh - cy + z - 1) / z;
-                const int n_x = (s.ow - cx + z - 1) / z;
-                best = std::max(best, umin(u.pOy, n_y) *
-                                          umin(u.pOx, n_x) * of_max);
-            }
-        return best;
-      }
-      case ArchKind::ZFWST: {
-        const int z = s.inZeroStride;
-        u64 best = 0;
-        for (int cy = 0; cy < z && cy < s.oh; ++cy)
-            for (int cx = 0; cx < z && cx < s.ow; ++cx) {
-                if (classAxisCount(s, s.kh, true, cy, z) *
-                        classAxisCount(s, s.kw, false, cx, z) ==
-                    0)
-                    continue;
-                const u64 n_y = u64((s.oh - cy + z - 1) / z);
-                const u64 n_x = u64((s.ow - cx + z - 1) / z);
-                best = std::max(
-                    best, n_y * n_x * of_max *
-                              (s.fourDimOutput ? u64(s.nif) : 1));
-            }
-        return best;
-      }
+    u64 best = 0;
+    for (const sim::ClassSegment &c : m.classes) {
+        if (c.empty())
+            continue;
+        // ZFWST buffers a whole class's partial sums; OST and ZFOST
+        // hold one tile in the register array.
+        const u64 cells = m.kind == ArchKind::ZFWST
+                              ? c.nY * c.nX * per_map
+                              : umin(u.pOy, c.nY) * umin(u.pOx, c.nX);
+        best = std::max(best, cells * of_max);
     }
-    util::panic("unknown arch kind");
+    return best;
 }
 
 /** The register-array / buffer capacity (cells) available to hold the
@@ -709,43 +648,29 @@ ScheduleRelation::str() const
     return os.str();
 }
 
-bool
-scheduleModelSupported(core::ArchKind)
-{
-    return true; // all five paper dataflows are modeled
-}
-
 ScheduleRelation
 staticNlrSchedule(const Unroll &unroll, const ConvSpec &spec,
                   bool zero_skip)
 {
-    return nlrSchedule(unroll, spec, zero_skip);
+    return relationOf(staticModel(ArchKind::NLR, unroll, spec,
+                                  {.zeroSkip = zero_skip}),
+                      unroll, spec);
 }
 
 ScheduleRelation
 staticZfostSchedule(const Unroll &unroll, const ConvSpec &spec,
                     bool reordered_feed)
 {
-    return zfostSchedule(unroll, spec, reordered_feed);
+    return relationOf(staticModel(ArchKind::ZFOST, unroll, spec,
+                                  {.reorderedFeed = reordered_feed}),
+                      unroll, spec);
 }
 
 ScheduleRelation
 staticScheduleRelation(ArchKind kind, const Unroll &unroll,
                        const ConvSpec &spec)
 {
-    switch (kind) {
-      case ArchKind::NLR:
-        return nlrSchedule(unroll, spec, /*zero_skip=*/true);
-      case ArchKind::WST:
-        return wstSchedule(unroll, spec);
-      case ArchKind::OST:
-        return ostSchedule(unroll, spec);
-      case ArchKind::ZFOST:
-        return zfostSchedule(unroll, spec, /*reordered_feed=*/true);
-      case ArchKind::ZFWST:
-        return zfwstSchedule(unroll, spec);
-    }
-    util::panic("unknown arch kind");
+    return relationOf(staticModel(kind, unroll, spec), unroll, spec);
 }
 
 ScheduleRelation
@@ -782,8 +707,8 @@ checkSchedule(ArchKind kind, const Unroll &unroll, const ConvSpec &spec,
         core::makeArch(kind, unroll);
     const u64 n_pes = u64(arch->numPes());
     const std::string where = jobWhere(arch->name(), spec);
-    const ScheduleRelation r =
-        staticScheduleRelation(kind, unroll, spec);
+    const StaticModel m = staticModel(kind, unroll, spec);
+    const ScheduleRelation r = relationOf(m, unroll, spec);
 
     // (a) PE-slot conflict-freedom: the peak booking fits the array
     // and the total booking fits the cycle budget.
@@ -804,7 +729,7 @@ checkSchedule(ArchKind kind, const Unroll &unroll, const ConvSpec &spec,
     reportHazards(r, where, report);
 
     // (c) accesses in-bounds within the planned working set.
-    const u64 want = staticMaxWindowCells(kind, unroll, spec);
+    const u64 want = staticMaxWindowCells(m, unroll, spec);
     const u64 have = windowCapacityCells(kind, unroll, spec);
     if (want > have)
         report.error(codes::kSchedOob, where,

@@ -104,10 +104,6 @@ struct PortBudget
     std::uint64_t output = 0; ///< applies to reads and writes each
 };
 
-/** True when `kind` has a closed-form schedule model (all five paper
- *  dataflows; the CNV/RST baselines do not). */
-bool scheduleModelSupported(core::ArchKind kind);
-
 /**
  * Predict the schedule relation symbolically: O(kernel area + parity
  * classes) per job, never walking cycles. Hazard counters are zero by

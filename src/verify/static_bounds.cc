@@ -3,12 +3,13 @@
  * Closed-form performance bounds — the checker face of the fast-path
  * engine.
  *
- * The per-dataflow derivations used to live here; PR 6 promoted them
- * to sim/closed_form.{hh,cc} so Architecture::run() can use them as
- * its timing-only fast path. This translation unit keeps the
- * verify-level API: the ArchKind switch (with the default design
- * knobs makeArch() configures — ZFOST reordered weight feed, NLR zero
- * skipping) and the GA-BOUNDS-DIVERGE counter-by-counter cross-check.
+ * The per-dataflow derivations live in sim/closed_form, where
+ * Architecture::run() uses them as its timing-only fast path. This
+ * translation unit holds the verify-level API: the one ArchKind
+ * switch (closed form, segment split and the default design knobs
+ * makeArch() configures — ZFOST reordered weight feed, NLR zero
+ * skipping) that the schedule relation and the legality checks share,
+ * and the GA-BOUNDS-DIVERGE counter-by-counter cross-check.
  */
 
 #include "verify/static_bounds.hh"
@@ -26,38 +27,42 @@ using sim::ConvSpec;
 using sim::RunStats;
 using sim::Unroll;
 
-bool
-staticBoundsSupported(ArchKind kind)
+StaticModel
+staticModel(ArchKind kind, const Unroll &unroll, const ConvSpec &spec,
+            const DataflowKnobs &knobs)
 {
+    spec.validate();
+    StaticModel m;
+    m.kind = kind;
     switch (kind) {
       case ArchKind::NLR:
+        m.stats = sim::nlrClosedForm(unroll, spec, knobs.zeroSkip);
+        return m;
       case ArchKind::WST:
+        m.stats = sim::wstClosedForm(unroll, spec);
+        return m;
       case ArchKind::OST:
+        m.classes = sim::classSegments(spec, sim::ClassSplit::Dense);
+        m.stats = sim::zfostClosedForm(unroll, spec, m.classes,
+                                       /*reordered_feed=*/false);
+        return m;
       case ArchKind::ZFOST:
+        m.classes = sim::classSegments(spec, sim::ClassSplit::ZeroFree);
+        m.stats = sim::zfostClosedForm(unroll, spec, m.classes,
+                                       knobs.reorderedFeed);
+        return m;
       case ArchKind::ZFWST:
-        return true;
+        m.classes = sim::classSegments(spec, sim::ClassSplit::ZeroFree);
+        m.stats = sim::zfwstClosedForm(unroll, spec, m.classes);
+        return m;
     }
-    return false;
+    util::panic("unknown arch kind");
 }
 
 RunStats
 staticRunStats(ArchKind kind, const Unroll &unroll, const ConvSpec &spec)
 {
-    spec.validate();
-    switch (kind) {
-      case ArchKind::NLR:
-        return sim::nlrClosedForm(unroll, spec, /*zero_skip=*/true);
-      case ArchKind::WST:
-        return sim::wstClosedForm(unroll, spec);
-      case ArchKind::OST:
-        return sim::ostClosedForm(unroll, spec);
-      case ArchKind::ZFOST:
-        return sim::zfostClosedForm(unroll, spec,
-                                    /*reordered_feed=*/true);
-      case ArchKind::ZFWST:
-        return sim::zfwstClosedForm(unroll, spec);
-    }
-    util::panic("unknown arch kind");
+    return staticModel(kind, unroll, spec).stats;
 }
 
 bool

@@ -22,24 +22,47 @@
 #ifndef GANACC_VERIFY_STATIC_BOUNDS_HH
 #define GANACC_VERIFY_STATIC_BOUNDS_HH
 
+#include <vector>
+
 #include "core/unrolling.hh"
 #include "sim/conv_spec.hh"
+#include "sim/segments.hh"
 #include "sim/stats.hh"
 #include "verify/diagnostics.hh"
 
 namespace ganacc {
 namespace verify {
 
-/** True when `kind` has a closed-form model (all five dataflows). */
-bool staticBoundsSupported(core::ArchKind kind);
+/** The design knobs that change a schedule; the defaults are what
+ *  makeArch() configures. The ablation checks flip them. */
+struct DataflowKnobs
+{
+    bool zeroSkip = true;      ///< NLR: skip structural zeros
+    bool reorderedFeed = true; ///< ZFOST: parity-grouped weight feed
+};
+
+/** One job's closed-form model on one dataflow: the exact RunStats of
+ *  the walk and, for OST/ZFOST/ZFWST, the output-class description
+ *  (sim/segments) they were derived from. */
+struct StaticModel
+{
+    core::ArchKind kind = core::ArchKind::NLR;
+    sim::RunStats stats;
+    std::vector<sim::ClassSegment> classes; ///< empty for NLR and WST
+};
 
 /**
- * The exact RunStats makeArch(kind, unroll)->run(spec) would return,
- * derived without simulating (default configurations: ZFOST reordered
- * weight feed, NLR zero skipping). Panics on the same preconditions
- * the simulator asserts (ZFOST/ZFWST reject stuffed inputs streamed
- * with stride > 1) — run checkConvSpec first.
+ * The one place an ArchKind is mapped to its closed form, its segment
+ * split and its knobs. Panics on the same preconditions the simulator
+ * asserts (ZFOST/ZFWST reject stuffed inputs streamed with stride > 1)
+ * — run checkConvSpec first.
  */
+StaticModel staticModel(core::ArchKind kind, const sim::Unroll &unroll,
+                        const sim::ConvSpec &spec,
+                        const DataflowKnobs &knobs = {});
+
+/** The exact RunStats makeArch(kind, unroll)->run(spec) would return,
+ *  derived without simulating: staticModel(kind, unroll, spec).stats. */
 sim::RunStats staticRunStats(core::ArchKind kind,
                              const sim::Unroll &unroll,
                              const sim::ConvSpec &spec);

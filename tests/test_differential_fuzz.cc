@@ -270,7 +270,7 @@ TEST_P(FastPathParity, ClosedFormBitIdenticalToWalk)
                 walk = arch->run(s);
             }
             {
-                sim::ScopedSimEngine eng(sim::SimEngine::Fast);
+                sim::ScopedSimEngine eng(sim::SimEngine::Auto);
                 ASSERT_TRUE(sim::fastPathEnabled());
                 fast = arch->run(s);
             }

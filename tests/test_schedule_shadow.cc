@@ -263,7 +263,7 @@ TEST(ScheduleShadow, RecorderForcesWalkEngine)
     s.pad = 1;
     s.oh = s.ow = 6;
 
-    sim::ScopedSimEngine eng(sim::SimEngine::Fast);
+    sim::ScopedSimEngine eng(sim::SimEngine::Auto);
     ASSERT_TRUE(sim::fastPathEnabled());
     auto arch = core::makeArch(ArchKind::OST, Unroll{.pOf = 2,
                                                      .pOx = 2,

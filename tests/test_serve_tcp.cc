@@ -5,18 +5,23 @@
  * pinned malformed-frame table on one connection, expose its fleet
  * topology through the {"fleet":true} probe (and refuse it when not
  * part of a fleet), accept `put` write-through, and the client's
- * connect retry must ride out a daemon that binds late.
+ * connect retry must ride out a daemon that binds late. The shared
+ * line reader must frame a multi-megabyte line, and the listener must
+ * release each closed connection's thread.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "conform/ops.hh"
@@ -27,6 +32,7 @@
 #include "serve/daemon.hh"
 #include "serve/engine.hh"
 #include "serve/protocol.hh"
+#include "serve/socket_io.hh"
 #include "sim/json.hh"
 #include "sim/phase.hh"
 #include "util/logging.hh"
@@ -73,6 +79,23 @@ class TcpDaemon
     std::thread thread_;
     std::atomic<bool> stop_{false};
 };
+
+/** VmSize of this process in KiB, from /proc/self/status. */
+std::int64_t
+vmSizeKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmSize:") {
+            std::int64_t kib = 0;
+            status >> kib;
+            return kib;
+        }
+        std::getline(status, key);
+    }
+    return 0;
+}
 
 serve::Request
 specRequest(std::uint64_t id, core::ArchKind kind,
@@ -322,6 +345,65 @@ TEST(ServeTcp, ZeroRetriesOnAMissingEndpointFailsFast)
     serve::Client client;
     EXPECT_THROW(client.connect(scratchDir("nope") + ".sock", copt),
                  util::FatalError);
+}
+
+TEST(ServeTcp, LineReaderFramesAMultiMegabyteLine)
+{
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    std::string big(std::size_t(4) << 20, 'x');
+    for (std::size_t i = 0; i < big.size(); i += 4093)
+        big[i] = char('a' + i % 26);
+    std::thread writer([&] {
+        EXPECT_TRUE(serve::sendAll(sv[1], big + "\nshort\ntail"));
+        ::close(sv[1]);
+    });
+
+    using Status = serve::LineReader::Status;
+    serve::LineReader reader(sv[0]);
+    std::string line;
+    ASSERT_EQ(reader.next(line), Status::Line);
+    EXPECT_TRUE(line == big) << "got " << line.size() << " bytes";
+    ASSERT_EQ(reader.next(line), Status::Line);
+    EXPECT_EQ(line, "short");
+    // The unterminated tail is left for the daemon's EOF policy.
+    EXPECT_EQ(reader.next(line), Status::Eof);
+    ASSERT_TRUE(reader.takeRest(line));
+    EXPECT_EQ(line, "tail");
+    EXPECT_FALSE(reader.takeRest(line));
+
+    writer.join();
+    ::close(sv[0]);
+}
+
+TEST(ServeTcp, ClosedConnectionsReleaseTheirThreads)
+{
+    serve::EngineOptions eo;
+    eo.jobs = 1;
+    eo.deterministic = true;
+    TcpDaemon daemon(eo);
+
+    serve::Request probe;
+    probe.id = 1;
+    probe.statsProbe = true;
+    const auto oneConnection = [&] {
+        serve::Client client;
+        client.connect(daemon.address());
+        const serve::Response rsp = client.roundTrip(probe);
+        EXPECT_TRUE(rsp.ok) << rsp.error;
+    };
+    // Warm up first: the engine, and the allocator's per-thread arenas
+    // (64 MiB of address space each), which later threads reuse.
+    for (int i = 0; i < 16; ++i)
+        oneConnection();
+    const std::int64_t before = vmSizeKib();
+    ASSERT_GT(before, 0);
+    for (int i = 0; i < 64; ++i)
+        oneConnection();
+    // An unjoined thread keeps its whole stack (8 MiB by default)
+    // mapped; a few still finishing, or cached for reuse, stay well
+    // under the bound.
+    EXPECT_LT(vmSizeKib() - before, std::int64_t(64) * 4 * 1024);
 }
 
 } // namespace

@@ -128,13 +128,6 @@ expectBoundsMatch(core::ArchKind kind, const sim::Unroll &u,
     EXPECT_EQ(derived.nPes, walked.nPes);
 }
 
-TEST(StaticBounds, AllDataflowsAreSupported)
-{
-    for (core::ArchKind kind : core::allArchKinds())
-        EXPECT_TRUE(verify::staticBoundsSupported(kind))
-            << core::archKindName(kind);
-}
-
 /** The property test: randomized specs, randomized unrollings. */
 TEST(StaticBounds, MatchesCycleWalkOnRandomizedSpecs)
 {
