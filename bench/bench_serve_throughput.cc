@@ -1,15 +1,17 @@
 /**
  * @file
  * Serving-throughput bench: requests/second of the simulation service
- * across the three tiers (cold = cycle walk, warm disk = persistent
- * result store, warm memory = in-process cycle cache), for one client
- * and for eight concurrent clients driving the same engine.
+ * across the three tiers (cold = simulation under the process engine:
+ * the closed form by default, the cycle walk under GANACC_ENGINE=walk;
+ * warm disk = persistent result store; warm memory = in-process cycle
+ * cache), for one client and for eight concurrent clients driving the
+ * same engine.
  *
- * This is the quantitative case for the serving subsystem: once a
- * figure's (arch, unrolling, layer) population is on disk, every
- * later regeneration — same process or not — replays it at disk
- * speed. The summary line reports the warm-over-cold speedup the
- * subsystem is expected to keep above 5x.
+ * Once a figure's (arch, unrolling, layer) population is on disk,
+ * every later regeneration — same process or not — replays it at disk
+ * speed. The summary line reports the warm-over-cold speedup and the
+ * engine it ran under; the >= 5x bar applies to the walk engine only,
+ * since the closed form costs about what a cache lookup does.
  */
 
 #include <algorithm>
@@ -30,6 +32,7 @@
 #include "gan/models.hh"
 #include "serve/daemon.hh"
 #include "serve/engine.hh"
+#include "sim/closed_form.hh"
 #include "sim/phase.hh"
 #include "util/args.hh"
 #include "util/table.hh"
@@ -41,7 +44,7 @@ using namespace ganacc;
 /**
  * The request population: every job of every Table V row of every
  * model on every architecture, as individual spec requests — the same
- * cycle walks the figure benches perform, phrased as service traffic.
+ * simulations the figure benches perform, phrased as service traffic.
  */
 std::vector<serve::Request>
 makeRequests()
@@ -266,7 +269,7 @@ main(int argc, char **argv)
     bench::banner(
         "Serving throughput — cold vs warm, 1 vs 8 clients",
         "a warm result store replays figure populations >= 5x faster "
-        "than cold simulation");
+        "than cold cycle-walk simulation (GANACC_ENGINE=walk)");
 
     const auto reqs = makeRequests();
     std::cout << "\n" << reqs.size() << " spec requests (3 models x 4 "
@@ -284,8 +287,8 @@ main(int argc, char **argv)
 
     double cold1 = 0, warm_disk1 = 0, warm_mem1 = 0;
     for (int clients : {1, 8}) {
-        // Cold: empty store, empty memory cache — every request is a
-        // fresh cycle walk (concurrent duplicates may single-flight).
+        // Cold: empty store, empty memory cache — every request is
+        // simulated afresh (concurrent duplicates may single-flight).
         std::filesystem::remove_all(cache_dir);
         core::CycleCache::instance().clear();
         serve::EngineOptions opts;
@@ -319,9 +322,11 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
-    std::cout << "\nwarm-over-cold (1 client): disk "
+    std::cout << "\nwarm-over-cold (1 client, engine "
+              << sim::simEngineName(sim::simEngine()) << "): disk "
               << warm_disk1 / cold1 << "x, memory "
-              << warm_mem1 / cold1 << "x (target: >= 5x)\n";
+              << warm_mem1 / cold1
+              << "x (target: >= 5x under the walk engine only)\n";
 
     // --- Fleet scaling: the same population through 1/2/4 TCP
     // shards behind fleet::Router (RF=2 replication on) ---

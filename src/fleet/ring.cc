@@ -13,6 +13,21 @@
 namespace ganacc {
 namespace fleet {
 
+namespace {
+
+/** FNV-1a-64 through splitmix64's finalizer: raw FNV-1a of strings
+ *  that differ only in their last bytes lands close together. */
+std::uint64_t
+ringHash(const std::string &bytes)
+{
+    std::uint64_t x = serve::fnv1a64(bytes);
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+} // namespace
+
 Ring::Ring(const std::vector<std::string> &shards, int vnodes)
     : shardCount_(int(shards.size()))
 {
@@ -24,7 +39,7 @@ Ring::Ring(const std::vector<std::string> &shards, int vnodes)
     for (std::size_t s = 0; s < shards.size(); ++s)
         for (int v = 0; v < vnodes; ++v)
             points_.emplace_back(
-                serve::fnv1a64(shards[s] + "#" + std::to_string(v)),
+                ringHash(shards[s] + "#" + std::to_string(v)),
                 int(s));
     // Sort by hash; break the (astronomically unlikely) hash tie by
     // shard index so placement stays deterministic regardless of the
@@ -35,17 +50,7 @@ Ring::Ring(const std::vector<std::string> &shards, int vnodes)
 int
 Ring::primary(const std::string &key) const
 {
-    const std::uint64_t h = serve::fnv1a64(key);
-    auto it = std::lower_bound(
-        points_.begin(), points_.end(),
-        std::make_pair(h, 0),
-        [](const std::pair<std::uint64_t, int> &a,
-           const std::pair<std::uint64_t, int> &b) {
-            return a.first < b.first;
-        });
-    if (it == points_.end())
-        it = points_.begin(); // wrap: clockwise past the top
-    return it->second;
+    return replicas(key, 1).front();
 }
 
 std::vector<int>
@@ -55,7 +60,7 @@ Ring::replicas(const std::string &key, int rf) const
         rf = shardCount_;
     if (rf < 1)
         rf = 1;
-    const std::uint64_t h = serve::fnv1a64(key);
+    const std::uint64_t h = ringHash(key);
     auto it = std::lower_bound(
         points_.begin(), points_.end(),
         std::make_pair(h, 0),

@@ -3,10 +3,11 @@
  * Consistent-hash ring over fleet shards.
  *
  * Each shard contributes `vnodes` points to a 64-bit ring, at
- * FNV-1a-64("<address>#<vnode-index>") — the same hash family as the
- * serving content key, so no new primitives. A key is owned by the
- * shard of the first ring point at or clockwise after
- * FNV-1a-64(key); its replicas are the next rf-1 *distinct* shards
+ * H("<address>#<vnode-index>"), where H is FNV-1a-64 (the hash family
+ * of the serving content key) followed by splitmix64's finalizer so
+ * that addresses differing only in their port still spread evenly. A
+ * key is owned by the shard of the first ring point at or clockwise
+ * after H(key); its replicas are the next rf-1 *distinct* shards
  * further clockwise. Properties the fleet relies on:
  *
  *  - Determinism: every client and shard computes identical placement

@@ -5,13 +5,12 @@
  * Shared notation: u64 arithmetic throughout; ceil(a/b) via ceilDiv;
  * per-axis occupancy counts reuse countNonzeroCoords, whose sum over a
  * partition of the output range equals the count over the whole range
- * (the cycle walks tile that range, the closed forms do not). Each
- * function steps the schedule *segments* its walk steps cycles:
- * kernel positions (NLR), streamed-axis classes (WST), the output
- * classes of sim/segments (OST, ZFOST, ZFWST) and resident chunks
- * (ZFWST) — every contribution inside a segment is a product of
- * per-axis counts, so idle, drain and zero-skip stretches are jumped,
- * never walked.
+ * (the cycle walks tile that range, the closed forms do not). All five
+ * functions interpret the output classes of sim/segments — the one
+ * Dense class for NLR, WST and OST, the parity classes for ZFOST and
+ * ZFWST — plus ZFWST's resident chunks: every contribution inside a
+ * class is a product of its per-axis sums, so idle, drain and
+ * zero-skip stretches are jumped, never walked.
  */
 
 #include "sim/closed_form.hh"
@@ -48,24 +47,6 @@ engineCell()
 {
     static std::atomic<SimEngine> cell{engineFromEnv()};
     return cell;
-}
-
-/** Per-axis WST stream counts for one kernel coordinate: input
- *  positions that contribute to some output (total) and the non-zero
- *  subset (effective). */
-void
-wstAxisCounts(const ConvSpec &s, int k, int in_extent, int out_extent,
-              bool row, u64 &total, u64 &nonzero)
-{
-    total = nonzero = 0;
-    for (int i = 0; i < in_extent; ++i) {
-        int n = i - k + s.pad;
-        if (n < 0 || n % s.stride != 0 || n / s.stride >= out_extent)
-            continue;
-        ++total;
-        if (!(row ? s.inputRowZero(i) : s.inputColZero(i)))
-            ++nonzero;
-    }
 }
 
 } // namespace
@@ -114,12 +95,15 @@ fastPathEnabled()
 /**
  * NLR: scheduled output/kernel combinations classify per axis into
  * in-bounds non-zero, in-bounds zero, and padding. Under the improved
- * (zero-skipping) policy, combinations whose operand is an in-bounds
- * structural zero are never scheduled; the vanilla policy executes the
- * full dense schedule and burns them as ineffectual cycles.
+ * (zero-skipping) policy, structural-zero kernel positions and
+ * combinations whose operand is an in-bounds structural zero are never
+ * scheduled; the vanilla policy executes the full dense schedule and
+ * burns them as ineffectual cycles. Over the non-zero kernel rows R
+ * and columns C, the skipped combinations are InR*InC - rowSum*colSum.
  */
 RunStats
-nlrClosedForm(const Unroll &u, const ConvSpec &s, bool zero_skip)
+nlrClosedForm(const Unroll &u, const ConvSpec &s, const ClassSegment &c,
+              bool zero_skip)
 {
     RunStats st;
     st.nPes = u64(u.pIf) * u.pOf;
@@ -127,41 +111,12 @@ nlrClosedForm(const Unroll &u, const ConvSpec &s, bool zero_skip)
     const u64 n_ofb = ceilDiv(u64(s.nof), u64(u.pOf));
     const u64 n_ifb = ceilDiv(u64(s.nif), u64(u.pIf));
 
-    u64 sched_pos = 0, eff_pos = 0;
-    for (int ky = 0; ky < s.kh; ++ky) {
-        for (int kx = 0; kx < s.kw; ++kx) {
-            if (s.kernelIsZero(ky, kx)) {
-                // Skipping never schedules the position; the vanilla
-                // dataflow streams it as a full plane of waste.
-                if (!zero_skip)
-                    sched_pos += u64(s.oh) * s.ow;
-                continue;
-            }
-            u64 in_y = 0, nz_y = 0, in_x = 0, nz_x = 0;
-            for (int oy = 0; oy < s.oh; ++oy) {
-                int iy = oy * s.stride + ky - s.pad;
-                if (iy < 0 || iy >= s.ih)
-                    continue;
-                ++in_y;
-                if (!s.inputRowZero(iy))
-                    ++nz_y;
-            }
-            for (int ox = 0; ox < s.ow; ++ox) {
-                int ix = ox * s.stride + kx - s.pad;
-                if (ix < 0 || ix >= s.iw)
-                    continue;
-                ++in_x;
-                if (!s.inputColZero(ix))
-                    ++nz_x;
-            }
-            // Skipped: both coordinates in bounds but the operand is a
-            // structural zero (padding still burns cycles).
-            const u64 skipped =
-                zero_skip ? in_y * in_x - nz_y * nz_x : 0;
-            sched_pos += u64(s.oh) * s.ow - skipped;
-            eff_pos += nz_y * nz_x;
-        }
-    }
+    const u64 plane = c.nY * c.nX;
+    const u64 eff_pos = c.rowSum * c.colSum;
+    const u64 sched_pos =
+        zero_skip ? c.kRowsNz * c.kColsNz * plane -
+                        c.rowInNz * c.colInNz + eff_pos
+                  : c.kRows * c.kCols * plane;
     const u64 pad_pos = sched_pos - eff_pos;
 
     if (!s.fourDimOutput) {
@@ -190,7 +145,7 @@ nlrClosedForm(const Unroll &u, const ConvSpec &s, bool zero_skip)
  * cycle, and its contributions factorize per axis.
  */
 RunStats
-wstClosedForm(const Unroll &u, const ConvSpec &s)
+wstClosedForm(const Unroll &u, const ConvSpec &s, const ClassSegment &c)
 {
     RunStats st;
     st.nPes = u64(u.pKx) * u.pKy * u.pOf;
@@ -203,23 +158,11 @@ wstClosedForm(const Unroll &u, const ConvSpec &s)
     st.inputLoads = st.cycles;
     st.weightLoads = u64(s.nof) * s.kh * s.kw;
 
-    u64 vy_sum = 0, vy_nz_sum = 0, vx_sum = 0, vx_nz_sum = 0;
-    for (int ky = 0; ky < s.kh; ++ky) {
-        u64 total, nonzero;
-        wstAxisCounts(s, ky, s.ih, s.oh, true, total, nonzero);
-        vy_sum += total;
-        if (!s.kernelRowZero(ky))
-            vy_nz_sum += nonzero;
-    }
-    for (int kx = 0; kx < s.kw; ++kx) {
-        u64 total, nonzero;
-        wstAxisCounts(s, kx, s.iw, s.ow, false, total, nonzero);
-        vx_sum += total;
-        if (!s.kernelColZero(kx))
-            vx_nz_sum += nonzero;
-    }
-    const u64 contrib = vy_sum * vx_sum;
-    const u64 eff = vy_nz_sum * vx_nz_sum;
+    // Streamed positions that reach some output, summed per axis over
+    // every resident kernel coordinate; the effective subset skips the
+    // structural zeros of both operands.
+    const u64 contrib = c.rowIn * c.colIn;
+    const u64 eff = c.rowSum * c.colSum;
 
     st.effectiveMacs = u64(s.nof) * s.nif * eff;
     st.ineffectualMacs = u64(s.nof) * s.nif * (contrib - eff);

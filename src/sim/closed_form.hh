@@ -8,9 +8,10 @@
  * each walk's counters are expressible as sums over *schedule
  * segments* — pass blocks, parity classes, kernel positions, resident
  * chunks — whose per-axis structure factorizes. The functions here
- * evaluate those sums directly: cost O(kernel area + parity classes)
- * per job instead of O(simulated cycles), which is what makes
- * LSUN-scale layers and 100x-larger DSE sweeps tractable.
+ * evaluate those sums directly: cost O(z * (kh*oh + kw*ow)) per job,
+ * z the zero-insertion stride, instead of O(simulated cycles), which
+ * is what makes LSUN-scale layers and 100x-larger DSE sweeps
+ * tractable.
  *
  * The cycle walks remain the golden reference. Each closed form is
  * required to match its walk *bit for bit* on every RunStats counter;
@@ -19,9 +20,10 @@
  * ZFOST-raster ablation configurations), and verify/static_bounds
  * re-exposes the same formulas as the GA-BOUNDS-DIVERGE checker.
  *
- * OST, ZFOST and ZFWST interpret the output-class description of
- * sim/segments instead of re-deriving the parity split; OST is the
- * one-class case of the ZFOST form.
+ * All five dataflows interpret the output-class description of
+ * sim/segments instead of re-deriving the per-axis counts: NLR, WST
+ * and OST read the one Dense class, ZFOST and ZFWST the parity
+ * classes, and OST is the one-class case of the ZFOST form.
  *
  * Engine selection: Architecture::run() consults simEngine() and uses
  * the fast path for timing-only, fault-free runs when the concrete
@@ -95,14 +97,17 @@ class ScopedSimEngine
  * malformed-spec preconditions the walks assert.
  */
 
-/** NLR; `zero_skip` selects the paper's improved dataflow (true) or
- *  the vanilla DianNao-style ablation that executes structural zeros
- *  as wasted cycles (false). */
+/** NLR over the job's one Dense class
+ *  (classSegments(s, ClassSplit::Dense).front()); `zero_skip` selects
+ *  the paper's improved dataflow (true) or the vanilla DianNao-style
+ *  ablation that executes structural zeros as wasted cycles (false). */
 RunStats nlrClosedForm(const Unroll &u, const ConvSpec &s,
-                       bool zero_skip);
+                       const ClassSegment &dense, bool zero_skip);
 
-/** WST: resident kernel tile, one streamed input position per cycle. */
-RunStats wstClosedForm(const Unroll &u, const ConvSpec &s);
+/** WST over the job's one Dense class: resident kernel tile, one
+ *  streamed input position per cycle. */
+RunStats wstClosedForm(const Unroll &u, const ConvSpec &s,
+                       const ClassSegment &dense);
 
 /** ZFOST over the job's output classes; OST is the one-class case,
  *  classSegments(s, ClassSplit::Dense) with the raster feed.

@@ -209,7 +209,9 @@ Nlr::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
 bool
 Nlr::fastStats(const ConvSpec &spec, RunStats &st) const
 {
-    st = nlrClosedForm(unroll_, spec, policy_ == ZeroPolicy::Skip);
+    st = nlrClosedForm(unroll_, spec,
+                       classSegments(spec, ClassSplit::Dense).front(),
+                       policy_ == ZeroPolicy::Skip);
     return true;
 }
 

@@ -12,25 +12,38 @@ namespace sim {
 
 namespace {
 
+/** One axis of a ClassSegment, as references into it. */
+struct AxisFields
+{
+    std::uint64_t &scheduled, &nonzero, &in, &inNz, &sum;
+};
+
 /** Fill one axis of class `c` (origin `c0`, `n` outputs): count the
- *  scheduled kernel coordinates and sum the non-zero outputs of the
- *  ones that are not structural kernel zeros. Plain C++ `%` on the
- *  parity test — negative remainders match the walks. */
+ *  scheduled kernel coordinates and the ones among them that are not
+ *  structural zeros, and sum over them the outputs whose input is in
+ *  bounds and, for the non-zero ones, in bounds and non-zero. Plain
+ *  C++ `%` on the parity test — negative remainders match the walks. */
 void
 classAxis(const ConvSpec &s, bool row, bool zero_free, int c0, int z,
-          std::uint64_t n, std::uint64_t &scheduled, std::uint64_t &sum)
+          std::uint64_t n, AxisFields f)
 {
     const int k_extent = row ? s.kh : s.kw;
+    const int extent = row ? s.ih : s.iw;
     for (int k = 0; k < k_extent; ++k) {
         const bool k_zero = row ? s.kernelRowZero(k) : s.kernelColZero(k);
         if (zero_free && (k_zero || (z > 1 && (c0 + k - s.pad) % z != 0)))
             continue;
-        ++scheduled;
+        ++f.scheduled;
+        const int first = c0 * s.stride + k - s.pad;
+        const auto in = std::uint64_t(countNonzeroCoords(
+            0, int(n), z * s.stride, first, 0, extent, 1, -1));
+        f.in += in;
         if (k_zero)
             continue; // dense schedule: a burned slot, never effective
-        sum += std::uint64_t(countNonzeroCoords(
-            0, int(n), z * s.stride, c0 * s.stride + k - s.pad, 0,
-            row ? s.ih : s.iw, s.inZeroStride,
+        ++f.nonzero;
+        f.inNz += in;
+        f.sum += std::uint64_t(countNonzeroCoords(
+            0, int(n), z * s.stride, first, 0, extent, s.inZeroStride,
             row ? s.inOrigH : s.inOrigW));
     }
 }
@@ -51,9 +64,10 @@ classSegments(const ConvSpec &s, ClassSplit split)
             ClassSegment c;
             c.nY = ceilDiv(std::uint64_t(s.oh - cy), std::uint64_t(z));
             c.nX = ceilDiv(std::uint64_t(s.ow - cx), std::uint64_t(z));
-            classAxis(s, true, zero_free, cy, z, c.nY, c.kRows, c.rowSum);
-            classAxis(s, false, zero_free, cx, z, c.nX, c.kCols,
-                      c.colSum);
+            classAxis(s, true, zero_free, cy, z, c.nY,
+                      {c.kRows, c.kRowsNz, c.rowIn, c.rowInNz, c.rowSum});
+            classAxis(s, false, zero_free, cx, z, c.nX,
+                      {c.kCols, c.kColsNz, c.colIn, c.colInNz, c.colSum});
             classes.push_back(c);
         }
     }

@@ -1,12 +1,12 @@
 /**
  * @file
- * The output classes of OST, ZFOST and ZFWST, enumerated once per job.
+ * The output classes of the five dataflows, enumerated once per job.
  *
  * ZFOST and ZFWST split a zero-inserted T-CONV output into the z x z
  * zero-free parity classes of Fig. 12; each class streams only the
  * kernel rows and columns that are parity-compatible with the input
- * stuffing and not structural zeros. OST is the one-class case: the
- * whole output with every kernel position scheduled.
+ * stuffing and not structural zeros. NLR, WST and OST see the one
+ * Dense class: the whole output with every kernel position scheduled.
  *
  * The closed forms, the symbolic schedule relation and the legality
  * checks interpret this description. The cycle walks do not: they
@@ -39,9 +39,20 @@ struct ClassSegment
     std::uint64_t nX = 0;  ///< output columns of the class
     std::uint64_t kRows = 0; ///< kernel rows the class schedules
     std::uint64_t kCols = 0; ///< kernel columns the class schedules
-    /** Over the scheduled kernel rows that are not structural zeros:
-     *  the sum of the class rows whose input row is in bounds and
-     *  non-zero (countNonzeroCoords). colSum likewise for columns. */
+    /** The scheduled kernel rows that are not structural zeros, |R|.
+     *  kColsNz likewise for columns, |C|. */
+    std::uint64_t kRowsNz = 0;
+    std::uint64_t kColsNz = 0;
+    /** Over every scheduled kernel row: the sum of the class rows
+     *  whose input row is in bounds (InAllR). colIn likewise. */
+    std::uint64_t rowIn = 0;
+    std::uint64_t colIn = 0;
+    /** rowIn over the non-zero kernel rows only (InR). colInNz
+     *  likewise (InC). */
+    std::uint64_t rowInNz = 0;
+    std::uint64_t colInNz = 0;
+    /** rowInNz restricted to the input rows that are not structural
+     *  zeros (countNonzeroCoords). colSum likewise for columns. */
     std::uint64_t rowSum = 0;
     std::uint64_t colSum = 0;
 
@@ -52,7 +63,7 @@ struct ClassSegment
 /** How a dataflow partitions the output map and the kernel. */
 enum class ClassSplit
 {
-    Dense,    ///< OST: one class, every kernel position scheduled
+    Dense,    ///< NLR/WST/OST: one class, every kernel position scheduled
     ZeroFree, ///< ZFOST/ZFWST: z x z parity classes, zeros skipped
 };
 

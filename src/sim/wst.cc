@@ -169,7 +169,8 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
 bool
 Wst::fastStats(const ConvSpec &spec, RunStats &st) const
 {
-    st = wstClosedForm(unroll_, spec);
+    st = wstClosedForm(unroll_, spec,
+                       classSegments(spec, ClassSplit::Dense).front());
     return true;
 }
 

@@ -10,9 +10,10 @@
  * The symbolic derivations interpret the same static model as the
  * closed forms (verify::staticModel): totals are taken from the proven
  * closed forms, while the per-cycle *peaks* and the accumulation-window
- * population are derived here from the loop-nest structure — for OST,
- * ZFOST and ZFWST over the same output-class description
- * (sim/segments) the closed forms sum over. Peak arguments rely on
+ * population are derived here from the loop-nest structure — over the
+ * same output-class description (sim/segments) the closed forms sum
+ * over, and for WST and ZFWST through one resident-tile pass helper
+ * (firstTwoPassLoads). Peak arguments rely on
  * two facts about every paper schedule: (1) maximal tiles exist — the
  * first tile of each loop axis has the full min(factor, bound) extent,
  * and the loop nests are full cross products, so maximal extents
@@ -405,6 +406,37 @@ wstMaxAxisFanout(const ConvSpec &s, int k_extent, int pk, int in_extent,
     return best;
 }
 
+/** A class's resident-tile loop nest, axes outer to inner, each as
+ *  (extent, factor). */
+using TileNest = std::vector<std::pair<u64, u64>>;
+
+/**
+ * The words of the first two resident passes when each class, in walk
+ * order, runs its tile nest: the first pass loads the first tile of
+ * every axis; the second the second tile of the innermost axis that
+ * has more than one tile, else the next class's first pass. When the
+ * first pass is a single cycle, both loads land on the job's first
+ * cycle.
+ */
+std::pair<u64, u64>
+firstTwoPassLoads(const std::vector<TileNest> &classes)
+{
+    auto load = [](const TileNest &nest, std::size_t second) {
+        u64 words = 1;
+        for (std::size_t a = 0; a < nest.size(); ++a) {
+            const auto [extent, factor] = nest[a];
+            words *= std::min(factor, a == second ? extent - factor : extent);
+        }
+        return words;
+    };
+    const std::size_t none = classes.front().size(); // no second tile
+    const u64 first = load(classes.front(), none);
+    for (std::size_t a = none; a-- > 0;)
+        if (classes.front()[a].first > classes.front()[a].second)
+            return {first, load(classes.front(), a)};
+    return {first, classes.size() > 1 ? load(classes[1], none) : 0};
+}
+
 ScheduleRelation
 wstSchedule(const StaticModel &m, const Unroll &u, const ConvSpec &s)
 {
@@ -414,23 +446,11 @@ wstSchedule(const StaticModel &m, const Unroll &u, const ConvSpec &s)
     const u64 of_max = umin(u.pOf, s.nof);
     r.peakInputLoads = 1;
     // A resident tile load lands alone on a cycle's weight port —
-    // except when every pass is a single cycle (nif = ih = iw = 1):
-    // the first cycle then carries both the first pass's pended load
-    // and the second pass's boundary load.
-    r.peakWeightLoads = umin(u.pKy, s.kh) * umin(u.pKx, s.kw) * of_max;
-    if (s.nif == 1 && s.ih == 1 && s.iw == 1) {
-        u64 second = 0;
-        if (s.kw > u.pKx)
-            second = umin(u.pKy, s.kh) *
-                     u64(std::min(u.pKx, s.kw - u.pKx)) * of_max;
-        else if (s.kh > u.pKy)
-            second = u64(std::min(u.pKy, s.kh - u.pKy)) *
-                     umin(u.pKx, s.kw) * of_max;
-        else if (s.nof > u.pOf)
-            second = umin(u.pKy, s.kh) * umin(u.pKx, s.kw) *
-                     u64(std::min(u.pOf, s.nof - u.pOf));
-        r.peakWeightLoads += second;
-    }
+    // except when every pass is a single cycle (nif = ih = iw = 1).
+    const auto [first, second] = firstTwoPassLoads(
+        {{{s.nof, u.pOf}, {s.kh, u.pKy}, {s.kw, u.pKx}}});
+    r.peakWeightLoads =
+        first + (s.nif == 1 && s.ih == 1 && s.iw == 1 ? second : 0);
     const u64 rows = wstMaxAxisFanout(s, s.kh, u.pKy, s.ih, s.oh);
     const u64 cols = wstMaxAxisFanout(s, s.kw, u.pKx, s.iw, s.ow);
     r.peakSlots = rows * cols * of_max;
@@ -473,32 +493,20 @@ zfwstSchedule(const StaticModel &m, const Unroll &u, const ConvSpec &s)
     ScheduleRelation r = fromClosedForm(m.stats);
     const u64 cap = u64(u.pKx) * u64(u.pKy);
     const u64 of_max = umin(u.pOf, s.nof);
-    bool any_class = false;
     bool any_accum = false;
-    // First two resident-load words of the walk's pass sequence, for
-    // the single-cycle-first-pass coalescing case (see below).
-    u64 first_n_eff = 0, first_positions = 0, second_load = 0;
+    // Each class streams its effective kernel elements in resident
+    // chunks inside the of-tile loop.
+    std::vector<TileNest> nests;
+    u64 first_positions = 0;
     for (const sim::ClassSegment &c : m.classes) {
         const u64 n_eff = c.kRows * c.kCols;
         if (n_eff == 0)
             continue;
         const u64 e_max = std::min(cap, n_eff);
         const u64 n_chunks = ceilDiv(n_eff, cap);
-        if (!any_class) {
-            first_n_eff = n_eff;
+        if (nests.empty())
             first_positions = c.nY * c.nX;
-            // The second pass of the walk: the next chunk of this
-            // class, else this class again on the next of-tile, else
-            // the next class's first chunk (found below).
-            if (n_chunks > 1)
-                second_load = std::min(cap, n_eff - cap) * of_max;
-            else if (s.nof > u.pOf)
-                second_load =
-                    e_max * u64(std::min(u.pOf, s.nof - u.pOf));
-        } else if (second_load == 0) {
-            second_load = e_max * of_max;
-        }
-        any_class = true;
+        nests.push_back({{s.nof, u.pOf}, {n_eff, cap}});
         if (n_chunks > 1 || (!s.fourDimOutput && s.nif > 1))
             any_accum = true;
         r.windows += ceilDiv(u64(s.nof), u64(u.pOf));
@@ -509,18 +517,17 @@ zfwstSchedule(const StaticModel &m, const Unroll &u, const ConvSpec &s)
         r.peakWeightLoads = std::max(r.peakWeightLoads, e_max * of_max);
         r.peakInputLoads = std::max(r.peakInputLoads, e_max);
     }
-    // When the first pass is a single cycle (one channel, one output
-    // position), the pended first load and the second pass's boundary
-    // load coalesce onto the job's first cycle.
-    if (any_class && s.nif == 1 && first_positions == 1)
-        r.peakWeightLoads =
-            std::max(r.peakWeightLoads,
-                     std::min(cap, first_n_eff) * of_max + second_load);
-    if (any_class) {
-        r.peakOutputWrites = of_max;
-        if (any_accum)
-            r.peakOutputReads = of_max;
+    if (nests.empty())
+        return r;
+    // A single-cycle first pass (one channel, one output position)
+    // carries the second pass's boundary load too.
+    if (s.nif == 1 && first_positions == 1) {
+        const auto [first, second] = firstTwoPassLoads(nests);
+        r.peakWeightLoads = std::max(r.peakWeightLoads, first + second);
     }
+    r.peakOutputWrites = of_max;
+    if (any_accum)
+        r.peakOutputReads = of_max;
     return r;
 }
 

@@ -105,11 +105,11 @@ struct PortBudget
 };
 
 /**
- * Predict the schedule relation symbolically: O(kernel area + parity
- * classes) per job, never walking cycles. Hazard counters are zero by
- * derivation — the loop nests are analyzed, not simulated. Panics on
- * the malformed-spec preconditions the walks assert (run checkConvSpec
- * first).
+ * Predict the schedule relation symbolically, in per-axis time
+ * (kernel extent x map extent) per job, never walking cycles. Hazard
+ * counters are zero by derivation — the loop nests are analyzed, not
+ * simulated. Panics on the malformed-spec preconditions the walks
+ * assert (run checkConvSpec first).
  */
 ScheduleRelation staticScheduleRelation(core::ArchKind kind,
                                         const sim::Unroll &unroll,

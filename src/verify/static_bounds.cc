@@ -34,25 +34,24 @@ staticModel(ArchKind kind, const Unroll &unroll, const ConvSpec &spec,
     spec.validate();
     StaticModel m;
     m.kind = kind;
+    const bool zero_free =
+        kind == ArchKind::ZFOST || kind == ArchKind::ZFWST;
+    m.classes = sim::classSegments(
+        spec, zero_free ? sim::ClassSplit::ZeroFree : sim::ClassSplit::Dense);
     switch (kind) {
       case ArchKind::NLR:
-        m.stats = sim::nlrClosedForm(unroll, spec, knobs.zeroSkip);
+        m.stats = sim::nlrClosedForm(unroll, spec, m.classes.front(),
+                                     knobs.zeroSkip);
         return m;
       case ArchKind::WST:
-        m.stats = sim::wstClosedForm(unroll, spec);
+        m.stats = sim::wstClosedForm(unroll, spec, m.classes.front());
         return m;
-      case ArchKind::OST:
-        m.classes = sim::classSegments(spec, sim::ClassSplit::Dense);
-        m.stats = sim::zfostClosedForm(unroll, spec, m.classes,
-                                       /*reordered_feed=*/false);
-        return m;
+      case ArchKind::OST: // the raster feed
       case ArchKind::ZFOST:
-        m.classes = sim::classSegments(spec, sim::ClassSplit::ZeroFree);
         m.stats = sim::zfostClosedForm(unroll, spec, m.classes,
-                                       knobs.reorderedFeed);
+                                       zero_free && knobs.reorderedFeed);
         return m;
       case ArchKind::ZFWST:
-        m.classes = sim::classSegments(spec, sim::ClassSplit::ZeroFree);
         m.stats = sim::zfwstClosedForm(unroll, spec, m.classes);
         return m;
     }

@@ -15,8 +15,8 @@
  *
  * The closed forms are what make the DSE pre-filter and the
  * GA-UNROLL-DIVIDE utilization figures cheap: deriving a design
- * point's bounds costs O(kernel area + parity classes), not
- * O(simulated cycles).
+ * point's bounds costs O(z * (kh*oh + kw*ow)), z the zero-insertion
+ * stride, not O(simulated cycles).
  */
 
 #ifndef GANACC_VERIFY_STATIC_BOUNDS_HH
@@ -42,13 +42,14 @@ struct DataflowKnobs
 };
 
 /** One job's closed-form model on one dataflow: the exact RunStats of
- *  the walk and, for OST/ZFOST/ZFWST, the output-class description
- *  (sim/segments) they were derived from. */
+ *  the walk and the output-class description (sim/segments) they were
+ *  derived from — the one Dense class for NLR, WST and OST, the
+ *  parity classes for ZFOST and ZFWST. */
 struct StaticModel
 {
     core::ArchKind kind = core::ArchKind::NLR;
     sim::RunStats stats;
-    std::vector<sim::ClassSegment> classes; ///< empty for NLR and WST
+    std::vector<sim::ClassSegment> classes;
 };
 
 /**

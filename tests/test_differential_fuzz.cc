@@ -17,6 +17,7 @@
 
 #include "core/zfost.hh"
 #include "core/zfwst.hh"
+#include "rect_specs.hh"
 #include "sim/arch.hh"
 #include "sim/closed_form.hh"
 #include "sim/conv_spec.hh"
@@ -176,7 +177,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DifferentialFuzz,
  * (z up to 4, wide kernels) and degenerate unrollings (factor equal
  * to its loop bound, factor 1) — and includes the ablation
  * configurations (NLR-vanilla, ZFOST-raster) the static-bounds
- * checker never covered.
+ * checker never covered. A second corpus draws rectangular jobs.
  */
 
 /** Like randomSpec, but biased toward zero-insert-heavy T-CONV. */
@@ -248,16 +249,13 @@ parityArchs(Rng &rng, const ConvSpec &s)
     return v;
 }
 
-/** Ten random jobs per shard; 20 shards = 200 fuzzed specs. */
-class FastPathParity : public ::testing::TestWithParam<int>
+/** Ten jobs from `draw`: every parity architecture's closed form must
+ *  match its walk on every counter. */
+void
+expectFastMatchesWalk(Rng &rng, ConvSpec (*draw)(Rng &))
 {
-};
-
-TEST_P(FastPathParity, ClosedFormBitIdenticalToWalk)
-{
-    Rng rng(0xFA57000ULL + std::uint64_t(GetParam()));
     for (int i = 0; i < 10; ++i) {
-        const ConvSpec s = randomParitySpec(rng);
+        const ConvSpec s = draw(rng);
         verify::Report report;
         verify::checkConvSpec(s, report);
         ASSERT_TRUE(report.ok()) << s.describe();
@@ -280,6 +278,25 @@ TEST_P(FastPathParity, ClosedFormBitIdenticalToWalk)
                 arch->name() + " fast vs walk on " + s.describe());
         }
     }
+}
+
+/** Ten random jobs per shard; 20 shards = 200 fuzzed specs. */
+class FastPathParity : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(FastPathParity, ClosedFormBitIdenticalToWalk)
+{
+    Rng rng(0xFA57000ULL + std::uint64_t(GetParam()));
+    expectFastMatchesWalk(rng, randomParitySpec);
+}
+
+/** The same parity over independent row and column extents, so a
+ *  per-axis sum read on the wrong axis diverges. */
+TEST_P(FastPathParity, RectangularClosedFormBitIdenticalToWalk)
+{
+    Rng rng(0xFA57EC70000ULL + std::uint64_t(GetParam()));
+    expectFastMatchesWalk(rng, tests::randomRectSpec);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FastPathParity,

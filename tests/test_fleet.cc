@@ -1,7 +1,8 @@
 /**
  * @file
  * Fleet-layer tests: consistent-hash ring placement (determinism,
- * coverage, stability under shard loss, replica-walk invariants),
+ * coverage, stability under shard loss, replica-walk invariants, even
+ * spread over same-host ports),
  * topology JSON round-trips, the telemetry merge arithmetic pinned
  * byte-exactly, and a live in-process 3-shard TCP fleet — routed
  * responses must be bit-identical to direct simulation, fresh results
@@ -12,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -108,6 +111,40 @@ TEST(FleetRing, ReplicaWalkIsDistinctPrimaryFirstAndClamped)
         EXPECT_EQ(clamped[0], two[0]);
         EXPECT_EQ(clamped[1], two[1])
             << "the rf=2 walk must be a prefix of the rf=3 walk";
+    }
+}
+
+/** Shards on one host differ only in their ephemeral port, the
+ *  live-fleet case: no draw of three such addresses may hand one shard
+ *  half the ring. */
+TEST(FleetRing, VnodesSpreadOverEphemeralPorts)
+{
+    std::mt19937 rng(0x41D6);
+    std::uniform_int_distribution<int> port(32768, 60999);
+    for (int draw = 0; draw < 200; ++draw) {
+        std::vector<std::string> shards;
+        while (shards.size() < 3) {
+            const std::string addr =
+                "127.0.0.1:" + std::to_string(port(rng));
+            if (std::find(shards.begin(), shards.end(), addr) ==
+                shards.end())
+                shards.push_back(addr);
+        }
+        const fleet::Ring ring(shards, 64);
+        const auto &pts = ring.points();
+        // A point owns the arc back to its predecessor (wrapping).
+        std::vector<double> owned(3, 0.0);
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+            const std::uint64_t prev =
+                pts[i == 0 ? pts.size() - 1 : i - 1].first;
+            owned[std::size_t(pts[i].second)] +=
+                double(pts[i].first - prev);
+        }
+        const double largest =
+            *std::max_element(owned.begin(), owned.end()) / 0x1p64;
+        EXPECT_LT(largest, 0.5)
+            << "draw " << draw << ": " << shards[0] << " " << shards[1]
+            << " " << shards[2];
     }
 }
 

@@ -5,7 +5,8 @@
  * functional differential suite) across all five paper dataflows plus
  * the NLR-vanilla / ZFOST-raster ablations — the symbolically derived
  * ScheduleRelation must be *bit-identical* to the relation the
- * recorder-armed cycle walk reconstructs, and hazard-free. The CNV and
+ * recorder-armed cycle walk reconstructs, and hazard-free; a second
+ * corpus repeats the contract on rectangular jobs. The CNV and
  * RST baselines have no static model and are checked against their
  * dynamic occupancy envelope instead. Negative paths (port budgets,
  * misbehaving schedules) pin the GA-SCHED-* codes.
@@ -28,6 +29,7 @@
 #include "sim/conv_spec.hh"
 #include "sim/nlr.hh"
 #include "sim/phase.hh"
+#include "rect_specs.hh"
 #include "sim/schedule_recorder.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
@@ -132,18 +134,14 @@ constexpr ArchKind kAllKinds[] = {ArchKind::NLR, ArchKind::WST,
                                   ArchKind::OST, ArchKind::ZFOST,
                                   ArchKind::ZFWST};
 
-/** Ten random jobs per shard; 20 shards = 200 fuzzed specs. */
-class ScheduleShadowFuzz : public ::testing::TestWithParam<int>
+/** Ten jobs from `draw`, each on every dataflow with a random unroll:
+ *  the static relation must match the recorded shadow bit for bit and
+ *  satisfy its own checks under the default port budget. */
+void
+expectRelationsMatchShadow(Rng &rng, ConvSpec (*draw)(Rng &))
 {
-};
-
-TEST_P(ScheduleShadowFuzz, StaticRelationBitIdenticalToShadow)
-{
-    // The recorder must observe the real cycle walk even when the
-    // environment prefers the fast path.
-    Rng rng(0x5CED0000ULL + std::uint64_t(GetParam()));
     for (int i = 0; i < 10; ++i) {
-        const ConvSpec s = randomSpec(rng);
+        const ConvSpec s = draw(rng);
         verify::Report legal;
         verify::checkConvSpec(s, legal);
         ASSERT_TRUE(legal.ok()) << s.describe();
@@ -177,16 +175,14 @@ TEST_P(ScheduleShadowFuzz, StaticRelationBitIdenticalToShadow)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, ScheduleShadowFuzz,
-                         ::testing::Range(0, 20));
-
-/** The ablation configurations carry different schedules (executed
- *  zeros, raster weight feed) and must shadow-match too. */
-TEST(ScheduleShadowAblations, VanillaNlrAndRasterZfostMatch)
+/** `n` jobs from `draw` on the ablation configurations, which carry
+ *  different schedules (executed zeros, raster weight feed) and must
+ *  shadow-match too. */
+void
+expectAblationsMatchShadow(Rng &rng, ConvSpec (*draw)(Rng &), int n)
 {
-    Rng rng(0x5CEDAB1AULL);
-    for (int i = 0; i < 40; ++i) {
-        const ConvSpec s = randomSpec(rng);
+    for (int i = 0; i < n; ++i) {
+        const ConvSpec s = draw(rng);
         verify::Report legal;
         verify::checkConvSpec(s, legal);
         ASSERT_TRUE(legal.ok()) << s.describe();
@@ -216,6 +212,37 @@ TEST(ScheduleShadowAblations, VanillaNlrAndRasterZfostMatch)
             EXPECT_TRUE(got.hazardFree()) << got.str();
         }
     }
+}
+
+/** Ten random jobs per shard; 20 shards = 200 fuzzed specs. */
+class ScheduleShadowFuzz : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(ScheduleShadowFuzz, StaticRelationBitIdenticalToShadow)
+{
+    // The recorder must observe the real cycle walk even when the
+    // environment prefers the fast path.
+    Rng rng(0x5CED0000ULL + std::uint64_t(GetParam()));
+    expectRelationsMatchShadow(rng, randomSpec);
+}
+
+/** The same contract over independent row and column extents,
+ *  ablations included. */
+TEST_P(ScheduleShadowFuzz, RectangularStaticRelationBitIdenticalToShadow)
+{
+    Rng rng(0x5CEDEC70000ULL + std::uint64_t(GetParam()));
+    expectRelationsMatchShadow(rng, tests::randomRectSpec);
+    expectAblationsMatchShadow(rng, tests::randomRectSpec, 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ScheduleShadowFuzz,
+                         ::testing::Range(0, 20));
+
+TEST(ScheduleShadowAblations, VanillaNlrAndRasterZfostMatch)
+{
+    Rng rng(0x5CEDAB1AULL);
+    expectAblationsMatchShadow(rng, randomSpec, 40);
 }
 
 /** CNV and RST have no static model: the recorded relation must stay

@@ -13,10 +13,14 @@
 #include <algorithm>
 #include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/unrolling.hh"
 #include "gan/models.hh"
+#include "rect_specs.hh"
 #include "sim/phase.hh"
+#include "sim/segments.hh"
 #include "verify/legality.hh"
 #include "verify/static_bounds.hh"
 
@@ -171,6 +175,104 @@ TEST(StaticBounds, MatchesCycleWalkOnPaperSchedules)
                     continue;
                 expectBoundsMatch(kind, u, job);
             }
+        }
+    }
+}
+
+/** Brute-force per-axis sums of one output class over (output, kernel)
+ *  coordinate pairs, straight from the ConvSpec predicates. */
+struct AxisBrute
+{
+    std::uint64_t n = 0, k = 0, kNz = 0, in = 0, inNz = 0, sum = 0;
+};
+
+AxisBrute
+bruteAxis(const sim::ConvSpec &s, bool row, bool zero_free, int c0, int z)
+{
+    const int out = row ? s.oh : s.ow;
+    const int k_extent = row ? s.kh : s.kw;
+    const int extent = row ? s.ih : s.iw;
+    AxisBrute a;
+    for (int o = c0; o < out; o += z)
+        ++a.n;
+    for (int k = 0; k < k_extent; ++k) {
+        const bool k_zero = row ? s.kernelRowZero(k) : s.kernelColZero(k);
+        // Zero-free classes schedule a kernel coordinate only when it
+        // is non-zero and lands the class on the stuffing lattice.
+        const int lattice = c0 * s.stride + k - s.pad;
+        if (zero_free && (k_zero || ((lattice % z) + z) % z != 0))
+            continue;
+        ++a.k;
+        a.kNz += k_zero ? 0 : 1;
+        for (int o = c0; o < out; o += z) {
+            const int i = o * s.stride + k - s.pad;
+            if (i < 0 || i >= extent)
+                continue;
+            ++a.in;
+            if (k_zero)
+                continue;
+            ++a.inNz;
+            if (!(row ? s.inputRowZero(i) : s.inputColZero(i)))
+                ++a.sum;
+        }
+    }
+    return a;
+}
+
+/** Compare every class of one split with the brute force, and the
+ *  classes' effective products with ConvSpec::effectiveMacs. */
+void
+expectSegmentsMatchBruteForce(const sim::ConvSpec &s, sim::ClassSplit split)
+{
+    const bool zero_free = split == sim::ClassSplit::ZeroFree;
+    const int z = zero_free ? s.inZeroStride : 1;
+    const std::vector<sim::ClassSegment> classes =
+        sim::classSegments(s, split);
+    ASSERT_EQ(classes.size(),
+              std::size_t(std::min(z, s.oh) * std::min(z, s.ow)))
+        << s.describe();
+    std::uint64_t effective = 0;
+    std::size_t idx = 0;
+    for (int cy = 0; cy < z && cy < s.oh; ++cy) {
+        for (int cx = 0; cx < z && cx < s.ow; ++cx) {
+            const sim::ClassSegment &c = classes[idx++];
+            const AxisBrute r = bruteAxis(s, true, zero_free, cy, z);
+            const AxisBrute col = bruteAxis(s, false, zero_free, cx, z);
+            const std::string where =
+                s.describe() + " class (" + std::to_string(cy) + "," +
+                std::to_string(cx) + ")";
+            EXPECT_EQ(c.nY, r.n) << where;
+            EXPECT_EQ(c.kRows, r.k) << where;
+            EXPECT_EQ(c.kRowsNz, r.kNz) << where;
+            EXPECT_EQ(c.rowIn, r.in) << where;
+            EXPECT_EQ(c.rowInNz, r.inNz) << where;
+            EXPECT_EQ(c.rowSum, r.sum) << where;
+            EXPECT_EQ(c.nX, col.n) << where;
+            EXPECT_EQ(c.kCols, col.k) << where;
+            EXPECT_EQ(c.kColsNz, col.kNz) << where;
+            EXPECT_EQ(c.colIn, col.in) << where;
+            EXPECT_EQ(c.colInNz, col.inNz) << where;
+            EXPECT_EQ(c.colSum, col.sum) << where;
+            effective += c.rowSum * c.colSum;
+        }
+    }
+    EXPECT_EQ(effective * std::uint64_t(s.nof) * std::uint64_t(s.nif),
+              s.effectiveMacs())
+        << s.describe();
+}
+
+/** sim/segments against brute force, on rectangular random jobs. */
+TEST(StaticBounds, SegmentAxisSumsMatchBruteForce)
+{
+    std::mt19937 rng(0x5E6);
+    util::Rng rect_rng(0x5E6EC7ULL);
+    for (int iter = 0; iter < 200; ++iter) {
+        for (const sim::ConvSpec &s :
+             {randomSpec(rng), tests::randomRectSpec(rect_rng)}) {
+            expectSegmentsMatchBruteForce(s, sim::ClassSplit::Dense);
+            if (s.inZeroStride == 1 || s.stride == 1)
+                expectSegmentsMatchBruteForce(s,
+                                              sim::ClassSplit::ZeroFree);
         }
     }
 }
