@@ -255,6 +255,16 @@ Zfost::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     return st;
 }
 
+std::optional<sim::MacSchedule>
+Zfost::macSchedule() const
+{
+    sim::MacSchedule m;
+    m.issue = sim::MacSchedule::Issue::ClassKernel;
+    m.order = sim::MacSchedule::Order::OneGroup;
+    m.visitsNonzeroInputs = true;
+    return m;
+}
+
 bool
 Zfost::fastStats(const ConvSpec &spec, RunStats &st) const
 {

@@ -55,6 +55,10 @@ class Zfost : public sim::Architecture
         return unroll_.pOx * unroll_.pOy * unroll_.pOf;
     }
 
+    /** The weight feed order changes input loads only: both feeds
+     *  issue and fold the same MACs. */
+    std::optional<sim::MacSchedule> macSchedule() const override;
+
   protected:
     sim::RunStats doRun(const sim::ConvSpec &spec,
                         const tensor::Tensor *in, const tensor::Tensor *w,

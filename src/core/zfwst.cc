@@ -216,6 +216,17 @@ Zfwst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     return st;
 }
 
+std::optional<sim::MacSchedule>
+Zfwst::macSchedule() const
+{
+    sim::MacSchedule m;
+    m.issue = sim::MacSchedule::Issue::ClassKernel;
+    m.order = sim::MacSchedule::Order::ClassChunks;
+    m.pKy = unroll_.pKy;
+    m.pKx = unroll_.pKx;
+    return m;
+}
+
 bool
 Zfwst::fastStats(const ConvSpec &spec, RunStats &st) const
 {

@@ -41,6 +41,8 @@ class Zfwst : public sim::Architecture
         return unroll_.pKx * unroll_.pKy * unroll_.pOf;
     }
 
+    std::optional<sim::MacSchedule> macSchedule() const override;
+
   protected:
     sim::RunStats doRun(const sim::ConvSpec &spec,
                         const tensor::Tensor *in, const tensor::Tensor *w,

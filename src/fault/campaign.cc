@@ -13,12 +13,15 @@
 
 #include "core/unrolling.hh"
 #include "fault/mem_faults.hh"
+#include "fault/site_engine.hh"
 #include "gan/trainer.hh"
 #include "nn/optimizer.hh"
 #include "obs/trace.hh"
+#include "sim/closed_form.hh"
 #include "sim/nlr.hh"
 #include "sim/phase.hh"
 #include "util/logging.hh"
+#include "util/strings.hh"
 #include "util/thread_pool.hh"
 
 namespace ganacc {
@@ -91,27 +94,60 @@ struct JobData
     Tensor w;
     Tensor ref;
     std::uint64_t key = 0; ///< stable (row, job) id for seeding
+    /** The site engine's state for the row's columns, or null when the
+     *  cells replay the hooked walks. Points into `in` and `w`. */
+    std::unique_ptr<JobSites> sites;
 };
 
+/**
+ * The jobs of every row with operands and reference outputs, plus the
+ * site engine's state when `schedules` (per row, per column) is not
+ * empty. Everything is keyed on (seed, row, job), so the jobs fill in
+ * parallel. The buffers are allocated here, on the calling thread, and
+ * only filled by the workers: buffers a short-lived worker allocates
+ * stay behind in its malloc arena, and repeated campaigns would grow
+ * the heap.
+ */
 std::vector<std::vector<JobData>>
-buildRowJobs(const gan::GanModel &model, const CampaignOptions &opt)
+buildRowJobs(const gan::GanModel &model, const FaultPlan &plan,
+             const CampaignOptions &opt,
+             const std::vector<std::vector<sim::MacSchedule>> &schedules)
 {
-    std::vector<std::vector<JobData>> rows;
-    for (std::size_t r = 0; r < std::size(kRows); ++r) {
-        std::vector<JobData> row;
+    std::vector<std::vector<JobData>> rows(std::size(kRows));
+    std::vector<std::pair<std::size_t, std::size_t>> slots;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
         const auto jobs = sim::familyJobs(model, kRows[r].family);
+        rows[r].resize(jobs.size());
         for (std::size_t j = 0; j < jobs.size(); ++j) {
-            JobData d;
-            d.spec = jobs[j];
+            const ConvSpec &s = jobs[j];
+            JobData &d = rows[r][j];
+            d.spec = s;
             d.key = std::uint64_t(r) * 101 + std::uint64_t(j);
-            util::Rng rng(mix64(opt.dataSeed ^ mix64(d.key)));
-            d.in = sim::makeStreamedInput(d.spec, rng);
-            d.w = sim::makeStreamedKernel(d.spec, rng);
-            d.ref = sim::genericConvRef(d.spec, d.in, d.w);
-            row.push_back(std::move(d));
+            d.in = Tensor(tensor::Shape4(1, s.nif, s.ih, s.iw));
+            d.w = Tensor(tensor::Shape4(s.nof, s.fourDimOutput ? 1 : s.nif,
+                                        s.kh, s.kw));
+            d.ref = sim::makeOutputTensor(s);
+            if (!schedules.empty())
+                d.sites = std::make_unique<JobSites>(
+                    plan, s, d.in, d.w, d.key, schedules[r]);
+            slots.emplace_back(r, j);
         }
-        rows.push_back(std::move(row));
     }
+    util::parallelFor(slots.size(), opt.jobs, [&](std::size_t i) {
+        const auto [r, j] = slots[i];
+        JobData &d = rows[r][j];
+        obs::Span span("fault.job", "fault",
+                       "{\"row\":\"" + std::string(kRows[r].name) +
+                           "\",\"job\":\"" +
+                           util::escapeJson(d.spec.label) + "\"}");
+        util::Rng rng(mix64(opt.dataSeed ^ mix64(d.key)));
+        sim::fillStreamedInput(d.spec, rng, d.in);
+        sim::fillStreamedKernel(d.spec, rng, d.w);
+        sim::genericConvRef(d.spec, d.in, d.w, d.ref);
+        if (d.sites)
+            for (std::size_t k = 0; k < d.sites->orders(); ++k)
+                d.sites->fold(k);
+    });
     return rows;
 }
 
@@ -124,14 +160,34 @@ struct SqErr
     void
     add(const Tensor &got, const Tensor &want)
     {
+        add(got, {}, want);
+    }
+
+    /** add() of `got` with the (index, value) fix-ups (ascending)
+     *  applied, without materializing it. */
+    void
+    add(const Tensor &got,
+        const std::vector<std::pair<std::size_t, float>> &fixups,
+        const Tensor &want)
+    {
         GANACC_ASSERT(got.shape() == want.shape(),
                       "campaign output shape mismatch");
-        for (std::size_t i = 0; i < got.numel(); ++i) {
-            const double d =
-                double(got.data()[i]) - double(want.data()[i]);
-            acc += d * d;
+        std::size_t i = 0;
+        for (const auto &[index, value] : fixups) {
+            for (; i < index; ++i)
+                term(got.data()[i], want.data()[i]);
+            term(value, want.data()[i++]);
         }
+        for (; i < got.numel(); ++i)
+            term(got.data()[i], want.data()[i]);
         n += got.numel();
+    }
+
+    void
+    term(float got, float want)
+    {
+        const double d = double(got) - double(want);
+        acc += d * d;
     }
 
     double
@@ -142,7 +198,7 @@ struct SqErr
 };
 
 CellResult
-runCell(const Column &col, const Row &row,
+runCell(const Column &col, std::size_t col_index, const Row &row,
         const std::vector<JobData> &jobs, const FaultPlan &plan,
         const CampaignOptions &opt)
 {
@@ -154,18 +210,29 @@ runCell(const Column &col, const Row &row,
                    "{\"arch\":\"" + col.name + "\",\"row\":\"" +
                        row.name + "\"}");
     const auto arch = buildArch(col, row, opt);
+    const bool walk = jobs.empty() || !jobs.front().sites;
     FaultInjector injector(plan);
     // CNV-style value inspection is not part of this matrix; every
     // column here supports timing+functional runs with the hook.
-    arch->setFaultHook(plan.empty() ? nullptr : &injector);
+    if (walk)
+        arch->setFaultHook(plan.empty() ? nullptr : &injector);
 
     SqErr mac_err, mem_err;
     for (const JobData &job : jobs) {
-        injector.beginJob(job.spec, job.key);
-        Tensor out = sim::makeOutputTensor(job.spec);
-        const sim::RunStats stats =
-            arch->run(job.spec, &job.in, &job.w, &out);
-        mac_err.add(out, job.ref);
+        sim::RunStats stats;
+        if (walk) {
+            injector.beginJob(job.spec, job.key);
+            Tensor out = sim::makeOutputTensor(job.spec);
+            stats = arch->run(job.spec, &job.in, &job.w, &out);
+            mac_err.add(out, job.ref);
+        } else {
+            // Timing from the closed form, values from the site engine.
+            stats = arch->run(job.spec);
+            const JobSites::Outcome o =
+                job.sites->outcome(col_index, stats);
+            mac_err.add(*o.faultFree, o.fixups, job.ref);
+            cell.mac += o.mac;
+        }
 
         if (plan.memory.flipProbPerAccess > 0.0) {
             // Storage flips are drawn from this cell's own traffic:
@@ -189,7 +256,8 @@ runCell(const Column &col, const Row &row,
             mem_err.add(out_f, job.ref);
         }
     }
-    cell.mac = injector.counters();
+    if (walk)
+        cell.mac = injector.counters();
     cell.outputRmse = mac_err.rmse();
     cell.memRmse = mem_err.rmse();
     return cell;
@@ -202,7 +270,22 @@ runResilienceCampaign(const gan::GanModel &model, const FaultPlan &plan,
                       const CampaignOptions &opt)
 {
     const auto columns = buildColumns(opt.nlrSkipAblation);
-    const auto row_jobs = buildRowJobs(model, opt);
+    // The site engine stands in for the hooked walks unless a stuck-at
+    // lane needs the physical lane of every product or the walk engine
+    // is forced. It arms and folds each job once for the whole row.
+    std::vector<std::vector<sim::MacSchedule>> schedules;
+    if (plan.peFaults.empty() && sim::simEngine() != sim::SimEngine::Walk) {
+        for (const Row &row : kRows) {
+            schedules.emplace_back();
+            for (const Column &col : columns) {
+                const auto m = buildArch(col, row, opt)->macSchedule();
+                GANACC_ASSERT(m.has_value(), col.name,
+                              " describes no MAC schedule");
+                schedules.back().push_back(*m);
+            }
+        }
+    }
+    const auto row_jobs = buildRowJobs(model, plan, opt, schedules);
 
     // Flatten the matrix for the sweep engine; parallelMap writes by
     // index, so the result order (and every value in it) is identical
@@ -221,7 +304,7 @@ runResilienceCampaign(const gan::GanModel &model, const FaultPlan &plan,
     result.cells = util::parallelMap(
         tasks,
         [&](const CellTask &t) {
-            return runCell(columns[t.col], kRows[t.row],
+            return runCell(columns[t.col], t.col, kRows[t.row],
                            row_jobs[t.row], plan, opt);
         },
         opt.jobs);

@@ -6,6 +6,7 @@
 #include "fault/injector.hh"
 
 #include <algorithm>
+#include <unordered_set>
 #include <utility>
 
 #include "util/fixed_point.hh"
@@ -40,10 +41,11 @@ FaultInjector::beginJob(const sim::ConvSpec &spec,
     util::Rng rng(mix64(plan_.seed ^ mix64(job_index + 1)));
     std::uniform_int_distribution<std::uint64_t> dist(0, dense - 1);
     armedSites_.reserve(std::size_t(want));
+    std::unordered_set<std::uint64_t> seen;
+    seen.reserve(std::size_t(want));
     while (armedSites_.size() < std::size_t(want)) {
         const std::uint64_t site = dist(rng.engine());
-        if (std::find(armedSites_.begin(), armedSites_.end(), site) ==
-            armedSites_.end())
+        if (seen.insert(site).second)
             armedSites_.push_back(site);
     }
     std::sort(armedSites_.begin(), armedSites_.end());
@@ -51,17 +53,33 @@ FaultInjector::beginJob(const sim::ConvSpec &spec,
 }
 
 std::uint64_t
-FaultInjector::latticeIndex(const sim::MacContext &ctx) const
+latticeIndex(const sim::ConvSpec &spec, const sim::MacContext &ctx)
 {
-    // Row-major order over (of, c, oy, ox, ky, kx) — the same
-    // factorization ConvSpec::denseMacs() counts.
     std::uint64_t i = std::uint64_t(ctx.of);
-    i = i * std::uint64_t(spec_.nif) + std::uint64_t(ctx.c);
-    i = i * std::uint64_t(spec_.oh) + std::uint64_t(ctx.oy);
-    i = i * std::uint64_t(spec_.ow) + std::uint64_t(ctx.ox);
-    i = i * std::uint64_t(spec_.kh) + std::uint64_t(ctx.ky);
-    i = i * std::uint64_t(spec_.kw) + std::uint64_t(ctx.kx);
+    i = i * std::uint64_t(spec.nif) + std::uint64_t(ctx.c);
+    i = i * std::uint64_t(spec.oh) + std::uint64_t(ctx.oy);
+    i = i * std::uint64_t(spec.ow) + std::uint64_t(ctx.ox);
+    i = i * std::uint64_t(spec.kh) + std::uint64_t(ctx.ky);
+    i = i * std::uint64_t(spec.kw) + std::uint64_t(ctx.kx);
     return i;
+}
+
+sim::MacContext
+latticePoint(const sim::ConvSpec &spec, std::uint64_t site)
+{
+    sim::MacContext ctx;
+    auto next = [&site](int extent) {
+        const auto v = int(site % std::uint64_t(extent));
+        site /= std::uint64_t(extent);
+        return v;
+    };
+    ctx.kx = next(spec.kw);
+    ctx.ky = next(spec.kh);
+    ctx.ox = next(spec.ow);
+    ctx.oy = next(spec.oh);
+    ctx.c = next(spec.nif);
+    ctx.of = int(site);
+    return ctx;
 }
 
 float
@@ -95,7 +113,7 @@ FaultInjector::onMac(const sim::MacContext &ctx, float a, float b)
     float product = a * b;
 
     if (!armedSites_.empty()) {
-        const std::uint64_t site = latticeIndex(ctx);
+        const std::uint64_t site = latticeIndex(spec_, ctx);
         if (std::binary_search(armedSites_.begin(), armedSites_.end(),
                                site)) {
             ++counters_.fired;

@@ -33,6 +33,15 @@
 namespace ganacc {
 namespace fault {
 
+/** Row-major index over (of, c, oy, ox, ky, kx) of a lattice point:
+ *  the factorization ConvSpec::denseMacs() counts. */
+std::uint64_t latticeIndex(const sim::ConvSpec &spec,
+                           const sim::MacContext &ctx);
+
+/** Inverse of latticeIndex (lane 0). */
+sim::MacContext latticePoint(const sim::ConvSpec &spec,
+                             std::uint64_t site);
+
 /** Seeded, order-independent realization of one FaultPlan. */
 class FaultInjector final : public sim::MacFaultHook
 {
@@ -61,6 +70,16 @@ class FaultInjector final : public sim::MacFaultHook
 
         std::uint64_t masked() const { return armed - fired; }
 
+        Counters &
+        operator+=(const Counters &o)
+        {
+            armed += o.armed;
+            fired += o.fired;
+            macsObserved += o.macsObserved;
+            peHits += o.peHits;
+            return *this;
+        }
+
         /** Fraction of armed upsets the dataflow never sampled. */
         double
         maskingRate() const
@@ -75,10 +94,17 @@ class FaultInjector final : public sim::MacFaultHook
 
     const FaultPlan &plan() const { return plan_; }
 
-  private:
-    std::uint64_t latticeIndex(const sim::MacContext &ctx) const;
+    /** The current job's armed transient sites, sorted and distinct. */
+    const std::vector<std::uint64_t> &armedSites() const
+    {
+        return armedSites_;
+    }
+
+    /** The corrupted image of `product` when the upset armed at lattice
+     *  `site` fires; a function of (plan seed, site) only. */
     float flipProductBits(float product, std::uint64_t site) const;
 
+  private:
     FaultPlan plan_;
     sim::ConvSpec spec_; ///< geometry of the armed job
     bool haveJob_ = false;

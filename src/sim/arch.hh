@@ -15,10 +15,12 @@
 #define GANACC_SIM_ARCH_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "sim/conv_spec.hh"
 #include "sim/fault_hook.hh"
+#include "sim/mac_schedule.hh"
 #include "sim/schedule_recorder.hh"
 #include "sim/stats.hh"
 #include "tensor/tensor.hh"
@@ -97,6 +99,17 @@ class Architecture
     void setScheduleRecorder(ScheduleRecorder *rec) { sched_rec_ = rec; }
 
     ScheduleRecorder *scheduleRecorder() const { return sched_rec_; }
+
+    /**
+     * Which lattice MACs the functional walk issues and how it folds
+     * them (sim/mac_schedule.hh), or nullopt when no description exists
+     * (CNV, RST): fault campaigns then replay the hooked walk.
+     */
+    virtual std::optional<MacSchedule>
+    macSchedule() const
+    {
+        return std::nullopt;
+    }
 
   protected:
     /**

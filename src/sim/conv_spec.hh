@@ -100,6 +100,20 @@ struct ConvSpec
 int countNonzeroCoords(int t0, int len, int stride, int k, int pad,
                        int extent, int zero_stride, int orig);
 
+/** A half-open index range [lo, hi); empty when lo == hi. */
+struct IndexRange
+{
+    int lo = 0;
+    int hi = 0;
+};
+
+/**
+ * The indices t in [0, n) whose input coordinate t*step + off is
+ * inside [0, extent); step > 0. Contiguous because the coordinate is
+ * monotone in t.
+ */
+IndexRange inBoundsRange(int n, int step, int off, int extent);
+
 /** Random streamed input honouring the spec's zero structure,
  *  shaped (1, nif, ih, iw). */
 tensor::Tensor makeStreamedInput(const ConvSpec &spec, util::Rng &rng);
@@ -108,13 +122,29 @@ tensor::Tensor makeStreamedInput(const ConvSpec &spec, util::Rng &rng);
  *  (nof, nif, kh, kw), or (nof, 1, kh, kw) for four-dim jobs. */
 tensor::Tensor makeStreamedKernel(const ConvSpec &spec, util::Rng &rng);
 
+/** makeStreamedInput / makeStreamedKernel into a zeroed tensor of that
+ *  shape the caller allocated; the same draws give the same values. */
+void fillStreamedInput(const ConvSpec &spec, util::Rng &rng,
+                       tensor::Tensor &in);
+void fillStreamedKernel(const ConvSpec &spec, util::Rng &rng,
+                        tensor::Tensor &w);
+
 /**
- * Golden-model execution of a spec: direct nested loops. Output is
- * (1, nof, oh, ow), or (nof, nif, oh, ow) for four-dim jobs.
+ * Golden-model execution of a spec. Output is (1, nof, oh, ow), or
+ * (nof, nif, oh, ow) for four-dim jobs. Each (of, if) plane sums its
+ * products in double over (ky, kx) in row-major order and adds the
+ * rounded float to the output in ascending `if` order; products with
+ * an out-of-bounds input or a zero weight are skipped, which is exact
+ * for finite operands because x + (+-0) == x.
  */
 tensor::Tensor genericConvRef(const ConvSpec &spec,
                               const tensor::Tensor &in,
                               const tensor::Tensor &w);
+
+/** genericConvRef into `out`, a zeroed makeOutputTensor(spec) the
+ *  caller allocated. */
+void genericConvRef(const ConvSpec &spec, const tensor::Tensor &in,
+                    const tensor::Tensor &w, tensor::Tensor &out);
 
 /** Shape the output tensor for a spec. */
 tensor::Tensor makeOutputTensor(const ConvSpec &spec);

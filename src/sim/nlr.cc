@@ -206,6 +206,17 @@ Nlr::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     return st;
 }
 
+std::optional<MacSchedule>
+Nlr::macSchedule() const
+{
+    MacSchedule m;
+    m.issue = policy_ == ZeroPolicy::Skip
+                  ? MacSchedule::Issue::NonzeroOperands
+                  : MacSchedule::Issue::All;
+    m.order = MacSchedule::Order::PerPosition;
+    return m;
+}
+
 bool
 Nlr::fastStats(const ConvSpec &spec, RunStats &st) const
 {

@@ -47,6 +47,8 @@ class Nlr : public Architecture
         return unroll_.pIf * unroll_.pOf;
     }
 
+    std::optional<MacSchedule> macSchedule() const override;
+
   protected:
     RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,
                    const tensor::Tensor *w,

@@ -170,6 +170,16 @@ Ost::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     return st;
 }
 
+std::optional<MacSchedule>
+Ost::macSchedule() const
+{
+    MacSchedule m;
+    m.issue = MacSchedule::Issue::All;
+    m.order = MacSchedule::Order::OneGroup;
+    m.visitsNonzeroInputs = true;
+    return m;
+}
+
 bool
 Ost::fastStats(const ConvSpec &spec, RunStats &st) const
 {

@@ -35,6 +35,8 @@ class Ost : public Architecture
         return unroll_.pOx * unroll_.pOy * unroll_.pOf;
     }
 
+    std::optional<MacSchedule> macSchedule() const override;
+
   protected:
     RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,
                    const tensor::Tensor *w,

@@ -21,8 +21,7 @@ struct AxisFields
 /** Fill one axis of class `c` (origin `c0`, `n` outputs): count the
  *  scheduled kernel coordinates and the ones among them that are not
  *  structural zeros, and sum over them the outputs whose input is in
- *  bounds and, for the non-zero ones, in bounds and non-zero. Plain
- *  C++ `%` on the parity test — negative remainders match the walks. */
+ *  bounds and, for the non-zero ones, in bounds and non-zero. */
 void
 classAxis(const ConvSpec &s, bool row, bool zero_free, int c0, int z,
           std::uint64_t n, AxisFields f)
@@ -31,7 +30,7 @@ classAxis(const ConvSpec &s, bool row, bool zero_free, int c0, int z,
     const int extent = row ? s.ih : s.iw;
     for (int k = 0; k < k_extent; ++k) {
         const bool k_zero = row ? s.kernelRowZero(k) : s.kernelColZero(k);
-        if (zero_free && (k_zero || (z > 1 && (c0 + k - s.pad) % z != 0)))
+        if (zero_free && !classKernelLive(s, row, z, c0, k))
             continue;
         ++f.scheduled;
         const int first = c0 * s.stride + k - s.pad;
@@ -49,6 +48,13 @@ classAxis(const ConvSpec &s, bool row, bool zero_free, int c0, int z,
 }
 
 } // namespace
+
+bool
+classKernelLive(const ConvSpec &s, bool row, int z, int c0, int k)
+{
+    const bool k_zero = row ? s.kernelRowZero(k) : s.kernelColZero(k);
+    return !k_zero && (z == 1 || (c0 + k - s.pad) % z == 0);
+}
 
 std::vector<ClassSegment>
 classSegments(const ConvSpec &s, ClassSplit split)

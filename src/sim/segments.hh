@@ -68,6 +68,17 @@ enum class ClassSplit
 };
 
 /**
+ * True when an output class whose origin on this axis is `c0` streams
+ * kernel coordinate `k` under a z x z zero-free split: `k` is not a
+ * structural kernel zero and, for z > 1, it is parity-compatible with
+ * the input stuffing. The per-axis fact the ZeroFree classes and the
+ * zero-free MAC issue predicate (sim/mac_schedule) are built from.
+ * Plain C++ `%` on the parity test: negative remainders match the
+ * walks.
+ */
+bool classKernelLive(const ConvSpec &s, bool row, int z, int c0, int k);
+
+/**
  * The job's classes in the walks' order (cy outer, cx inner). Empty
  * classes are kept: they still partition the output map. ZeroFree
  * panics on a stuffed input streamed with stride > 1, which is not a

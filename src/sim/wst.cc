@@ -166,6 +166,17 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     return st;
 }
 
+std::optional<MacSchedule>
+Wst::macSchedule() const
+{
+    MacSchedule m;
+    m.issue = MacSchedule::Issue::InBoundsInput;
+    m.order = MacSchedule::Order::KernelTiles;
+    m.pKy = unroll_.pKy;
+    m.pKx = unroll_.pKx;
+    return m;
+}
+
 bool
 Wst::fastStats(const ConvSpec &spec, RunStats &st) const
 {

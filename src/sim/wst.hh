@@ -35,6 +35,8 @@ class Wst : public Architecture
         return unroll_.pKx * unroll_.pKy * unroll_.pOf;
     }
 
+    std::optional<MacSchedule> macSchedule() const override;
+
   protected:
     RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,
                    const tensor::Tensor *w,

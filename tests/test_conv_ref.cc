@@ -11,14 +11,20 @@
  *    same convolution family as the forward pass of the other.
  *  - W-CONV computed as "dilated error slides over the input"
  *    (Fig. 6(c)) equals the direct weight-gradient sum.
+ *  - sim::genericConvRef, the reference every dataflow walk is held
+ *    to, equals its direct nested-loop definition bit for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <tuple>
 
 #include "nn/conv_ref.hh"
 #include "nn/zero_insert.hh"
+#include "rect_specs.hh"
+#include "sim/conv_spec.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
 
@@ -408,6 +414,87 @@ TEST(GradientCheck, TconvWeightsAndData)
         fm = dot(nn::tconvForward(im, w, g), mask);
         numeric = (fp - fm) / (2 * eps);
         EXPECT_NEAR(numeric, din.get(0, c, y, x), 2e-2);
+    }
+}
+
+// ---------------------------------------------------------------------
+// sim::genericConvRef
+// ---------------------------------------------------------------------
+
+/** genericConvRef's definition: direct nested loops over every
+ *  (of, if, oy, ox, ky, kx), padding and zero weights included. */
+Tensor
+naiveGenericConvRef(const sim::ConvSpec &spec, const Tensor &in,
+                    const Tensor &w)
+{
+    Tensor out = sim::makeOutputTensor(spec);
+    for (int of = 0; of < spec.nof; ++of) {
+        for (int c = 0; c < spec.nif; ++c) {
+            int wc = spec.fourDimOutput ? 0 : c;
+            for (int oy = 0; oy < spec.oh; ++oy)
+                for (int ox = 0; ox < spec.ow; ++ox) {
+                    double acc = 0.0;
+                    for (int ky = 0; ky < spec.kh; ++ky)
+                        for (int kx = 0; kx < spec.kw; ++kx) {
+                            int iy = oy * spec.stride + ky - spec.pad;
+                            int ix = ox * spec.stride + kx - spec.pad;
+                            acc += double(in.getPadded(0, c, iy, ix)) *
+                                   w.get(of, wc, ky, kx);
+                        }
+                    if (spec.fourDimOutput)
+                        out.ref(of, c, oy, ox) = float(acc);
+                    else
+                        out.ref(0, of, oy, ox) += float(acc);
+                }
+        }
+    }
+    return out;
+}
+
+/** A dense strided, padded job with independent row/column extents. */
+sim::ConvSpec
+paddedStridedSpec(Rng &rng)
+{
+    sim::ConvSpec s;
+    s.label = "padded";
+    s.nif = rng.uniformInt(1, 5);
+    s.nof = rng.uniformInt(1, 5);
+    s.ih = rng.uniformInt(1, 12);
+    s.iw = rng.uniformInt(1, 12);
+    s.kh = rng.uniformInt(1, 6);
+    s.kw = rng.uniformInt(1, 6);
+    s.stride = rng.uniformInt(1, 4);
+    s.pad = rng.uniformInt(0, std::min(s.kh, s.kw) - 1);
+    if (s.ih + 2 * s.pad < s.kh || s.iw + 2 * s.pad < s.kw)
+        return paddedStridedSpec(rng);
+    s.oh = tensor::convOutDim(s.ih, s.kh, s.stride, s.pad);
+    s.ow = tensor::convOutDim(s.iw, s.kw, s.stride, s.pad);
+    s.fourDimOutput = rng.uniformInt(0, 3) == 0;
+    return s;
+}
+
+TEST(ConvRef, GenericConvRefMatchesNaiveLoopBitForBit)
+{
+    // Stuffed, dilated, padded, strided, four-dimension and
+    // rectangular jobs. Half the draws fill every operand position,
+    // structural zeros included, so skipping zero weights and padding
+    // is exercised on arbitrary values too.
+    Rng rng(0xC0F5EFULL);
+    for (int i = 0; i < 400; ++i) {
+        const sim::ConvSpec s = i % 2 == 0 ? tests::randomRectSpec(rng)
+                                           : paddedStridedSpec(rng);
+        Tensor in = sim::makeStreamedInput(s, rng);
+        Tensor w = sim::makeStreamedKernel(s, rng);
+        if (rng.uniformInt(0, 1) == 1) {
+            in.fillUniform(rng);
+            w.fillUniform(rng);
+        }
+        const Tensor got = sim::genericConvRef(s, in, w);
+        const Tensor want = naiveGenericConvRef(s, in, w);
+        ASSERT_EQ(got.shape(), want.shape()) << s.describe();
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 got.numel() * sizeof(float)))
+            << s.describe();
     }
 }
 

@@ -9,7 +9,9 @@
  *  - the fault-injection campaign — the one subsystem that fans out
  *    over the thread pool — returns byte-identical cells for 1 worker
  *    and 8 workers, because all of its randomness is keyed on
- *    (seed, job, site), never on scheduling order.
+ *    (seed, job, site), never on scheduling order;
+ *  - the campaign's site engine returns the cells the hooked cycle
+ *    walks (GANACC_ENGINE=walk) return, byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "gan/models.hh"
 #include "gan/trainer.hh"
 #include "nn/optimizer.hh"
+#include "sim/closed_form.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
 
@@ -201,6 +204,59 @@ TEST(Determinism, FaultCampaignIdenticalUnderAnyWorkerCount)
     for (const auto &cell : a.cells)
         armed += cell.mac.armed;
     EXPECT_GT(armed, 0u);
+}
+
+/** The campaign under the hooked walks and under the site engine. */
+void
+expectSiteEngineMatchesWalk(const gan::GanModel &model,
+                            const fault::FaultPlan &plan)
+{
+    fault::CampaignOptions opt;
+    opt.dataSeed = plan.seed;
+    fault::CampaignResult walk, site;
+    {
+        sim::ScopedSimEngine engine(sim::SimEngine::Walk);
+        walk = fault::runResilienceCampaign(model, plan, opt);
+    }
+    {
+        sim::ScopedSimEngine engine(sim::SimEngine::Auto);
+        site = fault::runResilienceCampaign(model, plan, opt);
+    }
+    SCOPED_TRACE(plan.describe());
+    expectCampaignsBitIdentical(walk, site);
+}
+
+TEST(Determinism, FaultCampaignSiteEngineMatchesWalkOnMnistGan)
+{
+    fault::FaultPlan plan;
+    plan.seed = 1;
+    plan.transient.sitesPerJob = 64;
+    expectSiteEngineMatchesWalk(gan::makeMnistGan(), plan);
+
+    plan.seed = 7;
+    plan.transient.bits = 2;
+    plan.memory.flipProbPerAccess = 1e-6;
+    expectSiteEngineMatchesWalk(gan::makeMnistGan(), plan);
+}
+
+TEST(Determinism, FaultCampaignSiteEngineMatchesWalkOnTinyModel)
+{
+    // Transients with storage flips, saturating site counts, storage
+    // flips alone (the hook then skips ineffectual slots), nothing.
+    fault::FaultPlan plan;
+    plan.seed = 99;
+    plan.transient.sitesPerJob = 64;
+    plan.memory.flipProbPerAccess = 1e-4;
+    expectSiteEngineMatchesWalk(tinyModel(), plan);
+
+    plan.transient.sitesPerJob = 1 << 20;
+    plan.transient.bits = 3;
+    expectSiteEngineMatchesWalk(tinyModel(), plan);
+
+    plan.transient.sitesPerJob = 0;
+    expectSiteEngineMatchesWalk(tinyModel(), plan);
+
+    expectSiteEngineMatchesWalk(tinyModel(), fault::FaultPlan());
 }
 
 } // namespace

@@ -7,24 +7,36 @@
  * primitives, the saturation stress vs the static range analysis, and
  * the headline resilience result: on the Table V matrix the zero-free
  * dataflows mask strictly more transient upsets than the baselines.
+ * The site engine (predicate (d), one fault-free fold per order,
+ * per-output refolds) is held to the hooked walks bit for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bitset>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/zfost.hh"
+#include "core/zfwst.hh"
 #include "fault/campaign.hh"
 #include "fault/fault_plan.hh"
 #include "fault/injector.hh"
 #include "fault/mem_faults.hh"
+#include "fault/site_engine.hh"
 #include "gan/models.hh"
 #include "mem/offchip.hh"
 #include "mem/onchip_buffer.hh"
+#include "rect_specs.hh"
+#include "sim/closed_form.hh"
 #include "sim/conv_spec.hh"
+#include "sim/mac_schedule.hh"
+#include "sim/nlr.hh"
 #include "sim/ost.hh"
+#include "sim/wst.hh"
 #include "tensor/tensor.hh"
 #include "util/fixed_point.hh"
 #include "util/logging.hh"
@@ -35,9 +47,12 @@ namespace {
 
 using namespace ganacc;
 using core::Zfost;
+using core::Zfwst;
 using sim::ConvSpec;
+using sim::Nlr;
 using sim::Ost;
 using sim::Unroll;
+using sim::Wst;
 using tensor::Tensor;
 using util::Rng;
 
@@ -261,6 +276,62 @@ TEST(FaultInjector, StuckAtZeroPeMatchesAnalyticRmse)
     EXPECT_EQ(zeroed, 4);
 }
 
+/** The reference arming: a linear duplicate scan over the growing
+ *  site list, O(sites^2). FaultInjector::beginJob's hashed arming must
+ *  consume the same draws and arm the same sites. */
+std::vector<std::uint64_t>
+quadraticArming(const fault::FaultPlan &plan, const ConvSpec &s,
+                std::uint64_t job)
+{
+    const std::uint64_t dense = s.denseMacs();
+    const std::uint64_t want =
+        std::min(std::uint64_t(plan.transient.sitesPerJob), dense);
+    std::vector<std::uint64_t> sites;
+    if (want == 0)
+        return sites;
+    Rng rng(fault::mix64(plan.seed ^ fault::mix64(job + 1)));
+    std::uniform_int_distribution<std::uint64_t> dist(0, dense - 1);
+    while (sites.size() < want) {
+        const std::uint64_t site = dist(rng.engine());
+        if (std::find(sites.begin(), sites.end(), site) == sites.end())
+            sites.push_back(site);
+    }
+    std::sort(sites.begin(), sites.end());
+    return sites;
+}
+
+TEST(FaultInjector, HashedArmingDrawsTheQuadraticScansSites)
+{
+    ConvSpec tiny;
+    tiny.label = "tiny";
+    tiny.nof = 2;
+    tiny.ih = tiny.iw = 3;
+    tiny.kh = tiny.kw = 2;
+    tiny.oh = tiny.ow = 2;
+    Rng draw(0xA4ED);
+    const ConvSpec specs[] = {stuffedSpec(), tiny,
+                              tests::randomRectSpec(draw)};
+    for (const ConvSpec &s : specs) {
+        const auto dense = int(s.denseMacs());
+        for (const std::uint64_t seed : {1ULL, 7ULL, 0x5eedULL}) {
+            for (const std::uint64_t job : {0ULL, 3ULL, 101ULL}) {
+                for (const int sites : {1, 64, dense, dense + 10}) {
+                    fault::FaultPlan plan;
+                    plan.seed = seed;
+                    plan.transient.sitesPerJob = sites;
+                    fault::FaultInjector injector(plan);
+                    injector.beginJob(s, job);
+                    const auto want = quadraticArming(plan, s, job);
+                    EXPECT_EQ(injector.armedSites(), want)
+                        << s.describe() << " seed " << seed << " job "
+                        << job << " sites " << sites;
+                    EXPECT_EQ(injector.counters().armed, want.size());
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Storage-fault primitives
 // ---------------------------------------------------------------------
@@ -357,6 +428,190 @@ TEST(MemFaults, SaturationStressAgreesWithRangeAnalysis)
     EXPECT_EQ(sat.saturated, 1u);
     EXPECT_NEAR(clips.data()[0], 2.0f, 1e-3);
 }
+
+// ---------------------------------------------------------------------
+// The site engine
+// ---------------------------------------------------------------------
+
+/** Draws beyond tests/rect_specs.hh: a generator weight update
+ *  (stuffed input, four-dimension output) or a dense job padded up to
+ *  kernel - 1 and strided. */
+ConvSpec
+extraEngineSpec(Rng &rng)
+{
+    ConvSpec s;
+    s.label = "engine";
+    s.nif = rng.uniformInt(1, 4);
+    s.nof = rng.uniformInt(1, 4);
+    s.kh = rng.uniformInt(1, 6);
+    s.kw = rng.uniformInt(1, 6);
+    s.pad = rng.uniformInt(0, std::min(s.kh, s.kw) - 1);
+    if (rng.uniformInt(0, 1) == 0) {
+        const int z = rng.uniformInt(2, 3);
+        s.inZeroStride = z;
+        s.inOrigH = rng.uniformInt(2, 5);
+        s.inOrigW = rng.uniformInt(2, 5);
+        s.ih = (s.inOrigH - 1) * z + 1 + rng.uniformInt(0, z - 1);
+        s.iw = (s.inOrigW - 1) * z + 1 + rng.uniformInt(0, z - 1);
+        s.fourDimOutput = true;
+    } else {
+        s.ih = rng.uniformInt(3, 12);
+        s.iw = rng.uniformInt(3, 12);
+        s.stride = rng.uniformInt(1, 3);
+    }
+    if (s.ih + 2 * s.pad < s.kh || s.iw + 2 * s.pad < s.kw)
+        return extraEngineSpec(rng);
+    s.oh = tensor::convOutDim(s.ih, s.kh, s.stride, s.pad);
+    s.ow = tensor::convOutDim(s.iw, s.kw, s.stride, s.pad);
+    if (s.fourDimOutput) {
+        s.oh = std::min(s.oh, rng.uniformInt(2, 6));
+        s.ow = std::min(s.ow, rng.uniformInt(2, 6));
+    }
+    return s;
+}
+
+ConvSpec
+engineSpec(Rng &rng)
+{
+    return rng.uniformInt(0, 2) == 0 ? extraEngineSpec(rng)
+                                     : tests::randomRectSpec(rng);
+}
+
+using Archs = std::vector<std::unique_ptr<sim::Architecture>>;
+
+/** The six campaign columns plus the ZFOST raster ablation. Kernel
+ *  tiles and chunks are small, so WST streams several tiles and ZFWST
+ *  several chunks per class. */
+Archs
+engineArchs(Rng &rng)
+{
+    Archs v;
+    const auto nlr = [&rng] {
+        return Unroll{.pIf = rng.uniformInt(1, 3),
+                      .pOf = rng.uniformInt(1, 4)};
+    };
+    const auto tile = [&rng] {
+        return Unroll{.pOf = rng.uniformInt(1, 3),
+                      .pOx = rng.uniformInt(1, 4),
+                      .pOy = rng.uniformInt(1, 4)};
+    };
+    v.push_back(std::make_unique<Nlr>(nlr(), Nlr::ZeroPolicy::Execute));
+    v.push_back(std::make_unique<Nlr>(nlr(), Nlr::ZeroPolicy::Skip));
+    v.push_back(std::make_unique<Wst>(
+        Unroll{.pOf = rng.uniformInt(1, 3), .pKx = rng.uniformInt(1, 3),
+               .pKy = rng.uniformInt(1, 3)}));
+    v.push_back(std::make_unique<Ost>(tile()));
+    v.push_back(std::make_unique<Zfost>(tile()));
+    v.push_back(std::make_unique<Zfost>(tile(), Zfost::WeightOrder::Raster));
+    v.push_back(std::make_unique<Zfwst>(
+        Unroll{.pOf = rng.uniformInt(1, 3), .pKx = rng.uniformInt(1, 2),
+               .pKy = rng.uniformInt(1, 2)}));
+    return v;
+}
+
+TEST(FaultEngine, PredicateCountsTheClosedFormsIssuedMacs)
+{
+    // Predicate (d) issues exactly the MACs the closed forms (which
+    // read the sim/segments description) count as scheduled.
+    sim::ScopedSimEngine engine(sim::SimEngine::Auto);
+    Rng rng(0x9ED1CA7EULL);
+    for (int i = 0; i < 80; ++i) {
+        const ConvSpec s = engineSpec(rng);
+        for (const auto &arch : engineArchs(rng)) {
+            const sim::MacSchedule m = *arch->macSchedule();
+            std::uint64_t issued = 0;
+            for (int oy = 0; oy < s.oh; ++oy)
+                for (int ox = 0; ox < s.ow; ++ox)
+                    for (int ky = 0; ky < s.kh; ++ky)
+                        for (int kx = 0; kx < s.kw; ++kx)
+                            issued += sim::issuesMac(m, s, oy, ox, ky, kx);
+            const sim::RunStats st = arch->run(s);
+            EXPECT_EQ(issued * std::uint64_t(s.nof) * std::uint64_t(s.nif),
+                      st.effectiveMacs + st.ineffectualMacs)
+                << arch->name() << " on " << s.describe();
+        }
+    }
+}
+
+/** Transient plans over a job: a few sites, every lattice point (so
+ *  outputs take several fired sites and sites land on zero products),
+ *  storage flips only (a hook that skips ineffectual slots) and
+ *  nothing at all. */
+std::vector<fault::FaultPlan>
+enginePlans(Rng &rng, const ConvSpec &s)
+{
+    const auto dense = int(std::min<std::uint64_t>(s.denseMacs(), 1u << 20));
+    std::vector<fault::FaultPlan> plans(4);
+    for (fault::FaultPlan &p : plans) {
+        p.seed = std::uint64_t(rng.uniformInt(1, 1 << 30));
+        p.transient.bits = rng.uniformInt(1, 3);
+    }
+    plans[0].transient.sitesPerJob = rng.uniformInt(1, std::min(dense, 64));
+    plans[1].transient.sitesPerJob =
+        dense <= 20000 ? dense + rng.uniformInt(0, 8)
+                       : rng.uniformInt(dense / 8, dense / 4);
+    plans[2].memory.flipProbPerAccess = 1e-3;
+    plans[3] = fault::FaultPlan();
+    return plans;
+}
+
+/** Every dataflow of engineArchs on one job under `plan`: the site
+ *  engine's output and counters must equal the hooked walk's. */
+void
+expectEngineMatchesWalk(const ConvSpec &s, const fault::FaultPlan &plan,
+                        std::uint64_t key, const Archs &archs,
+                        const Tensor &in, const Tensor &w)
+{
+    std::vector<sim::MacSchedule> schedules;
+    for (const auto &arch : archs)
+        schedules.push_back(*arch->macSchedule());
+    fault::JobSites sites(plan, s, in, w, key, schedules);
+    for (std::size_t k = 0; k < sites.orders(); ++k)
+        sites.fold(k);
+    for (std::size_t i = 0; i < archs.size(); ++i) {
+        sim::Architecture &arch = *archs[i];
+        fault::FaultInjector injector(plan);
+        injector.beginJob(s, key);
+        arch.setFaultHook(plan.empty() ? nullptr : &injector);
+        Tensor walked = sim::makeOutputTensor(s);
+        arch.run(s, &in, &w, &walked);
+        arch.setFaultHook(nullptr);
+
+        const fault::JobSites::Outcome o = sites.outcome(i, arch.run(s));
+        const Tensor got = o.output();
+        const std::string where =
+            arch.name() + " on " + s.describe() + " under " + plan.describe();
+        EXPECT_EQ(o.mac.armed, injector.counters().armed) << where;
+        EXPECT_EQ(o.mac.fired, injector.counters().fired) << where;
+        EXPECT_EQ(o.mac.macsObserved, injector.counters().macsObserved)
+            << where;
+        EXPECT_EQ(o.mac.peHits, injector.counters().peHits) << where;
+        ASSERT_EQ(got.shape(), walked.shape()) << where;
+        EXPECT_EQ(0, std::memcmp(got.data(), walked.data(),
+                                 got.numel() * sizeof(float)))
+            << where;
+    }
+}
+
+class FaultEngine : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(FaultEngine, SparseMatchesWalk)
+{
+    Rng rng(0x5175E000ULL + std::uint64_t(GetParam()));
+    for (int i = 0; i < 6; ++i) {
+        const ConvSpec s = engineSpec(rng);
+        const Tensor in = sim::makeStreamedInput(s, rng);
+        const Tensor w = sim::makeStreamedKernel(s, rng);
+        const auto archs = engineArchs(rng);
+        const auto key = std::uint64_t(rng.uniformInt(0, 1000));
+        for (const fault::FaultPlan &plan : enginePlans(rng, s))
+            expectEngineMatchesWalk(s, plan, key, archs, in, w);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, FaultEngine, ::testing::Range(0, 8));
 
 // ---------------------------------------------------------------------
 // Campaigns
