@@ -11,6 +11,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/closed_form.hh"
+#include "util/strings.hh"
 
 namespace ganacc {
 namespace core {
@@ -40,7 +41,7 @@ engineTag(ArchKind kind)
 std::string
 keyOf(ArchKind kind, const sim::Unroll &u, const sim::ConvSpec &s)
 {
-    std::ostringstream os;
+    util::FixedText<384> os; // 24 ints of at most 11 characters + tag
     os << int(kind) << '|' << u.pIf << ',' << u.pOf << ',' << u.pKx
        << ',' << u.pKy << ',' << u.pOx << ',' << u.pOy << '|' << s.nif
        << ',' << s.nof << ',' << s.ih << ',' << s.iw << ',' << s.kh
@@ -144,7 +145,9 @@ CycleCache::stats(ArchKind kind, const sim::Unroll &u,
         // One span per actual cycle walk; a no-op unless --trace /
         // GANACC_TRACE armed the sink.
         obs::Span span("simulate", "sim",
-                       "{\"arch\":\"" + archKindName(kind) + "\"}");
+                       obs::TraceSink::instance().enabled()
+                           ? "{\"arch\":\"" + archKindName(kind) + "\"}"
+                           : std::string());
         st = makeArch(kind, u)->run(spec);
         if (disk_)
             disk_->store(kind, u, spec, st);
@@ -169,6 +172,15 @@ CycleCache::insert(ArchKind kind, const sim::Unroll &u,
     }
     if (disk_)
         disk_->store(kind, u, spec, stats);
+}
+
+bool
+CycleCache::contains(ArchKind kind, const sim::Unroll &u,
+                     const sim::ConvSpec &spec) const
+{
+    const std::string key = keyOf(kind, u, spec);
+    std::shared_lock<std::shared_mutex> lk(m_);
+    return map_.count(key) != 0;
 }
 
 void

@@ -145,6 +145,11 @@ class CycleCache
 
     StatsDiskTier *diskTier() const { return disk_; }
 
+    /** Whether the memory tier holds the triple. A pure query: it
+     *  touches no hit/miss counter and never consults the disk tier. */
+    bool contains(ArchKind kind, const sim::Unroll &u,
+                  const sim::ConvSpec &spec) const;
+
     /** Drop every memory entry (for cold-cache timing comparisons);
      *  the attached disk tier, being persistent, is untouched. */
     void clear();

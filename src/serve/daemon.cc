@@ -14,8 +14,10 @@
 #include <istream>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <thread>
+#include <vector>
 
 #include <netdb.h>
 #include <netinet/in.h>
@@ -36,26 +38,34 @@ namespace serve {
 namespace {
 
 /**
- * Submit one request line and return the response future. Decode
- * errors resolve immediately: the protocol promises a response per
- * line no matter how broken the line is.
+ * One request line, decoded once: the request, or — the protocol
+ * promises a response per line no matter how broken the line is —
+ * the ok:false answer of a line that does not decode.
  */
-std::future<Response>
-submitLine(Engine &engine, const std::string &line)
+struct DecodedLine
 {
+    Request req;
+    std::optional<Response> error;
+};
+
+DecodedLine
+decodeLine(const std::string &line)
+{
+    DecodedLine d;
     try {
         obs::TraceSink &sink = obs::TraceSink::instance();
         if (sink.enabled()) {
             // Stamp transport-side decode timing (never on the wire)
             // so the engine's span batch covers the whole hop.
             const std::uint64_t t0 = sink.nowUs();
-            Request req = decodeRequest(line);
+            d.req = decodeRequest(line);
             const std::uint64_t t1 = sink.nowUs();
-            req.decodeTs = t0;
-            req.decodeDurUs = t1 > t0 ? t1 - t0 : 1;
-            return engine.submit(req);
+            d.req.decodeTs = t0;
+            d.req.decodeDurUs = t1 > t0 ? t1 - t0 : 1;
+        } else {
+            d.req = decodeRequest(line);
         }
-        return engine.submit(decodeRequest(line));
+        return d;
     } catch (const std::exception &e) {
         std::uint64_t id = 0;
         // Best effort: salvage the id so the client can correlate.
@@ -74,24 +84,74 @@ submitLine(Engine &engine, const std::string &line)
                     id = id * 10 + std::uint64_t(line[p++] - '0');
             }
         }
-        std::promise<Response> p;
-        p.set_value(errorResponse(id, e.what()));
-        return p.get_future();
+        d.error = errorResponse(id, e.what());
+        return d;
     }
+}
+
+std::future<Response>
+readyFuture(Response rsp)
+{
+    std::promise<Response> p;
+    p.set_value(std::move(rsp));
+    return p.get_future();
+}
+
+/** The transport's encode+write span of a traced response, opened at
+ *  `t0` and parented under the engine's request span. */
+struct EncodeSpan
+{
+    std::string traceId;
+    std::uint64_t parent = 0;
+    std::uint64_t t0 = 0;
+};
+
+/** Close an encode span now that its bytes are written. */
+void
+recordEncodeSpan(const EncodeSpan &enc)
+{
+    obs::TraceSink &sink = obs::TraceSink::instance();
+    obs::TraceEvent ev;
+    ev.name = "serve.encode";
+    ev.cat = "serve";
+    ev.tid = obs::TraceSink::threadLane();
+    ev.ts = enc.t0;
+    const std::uint64_t t1 = sink.nowUs();
+    ev.dur = t1 > enc.t0 ? t1 - enc.t0 : 1;
+    ev.args = obs::spanArgs(enc.traceId, obs::newSpanId(), enc.parent);
+    sink.record(std::move(ev));
 }
 
 /**
  * Pump a line stream through the engine, writing responses in input
- * order. A dedicated writer thread drains the in-order future queue,
- * so responses go out the moment they resolve even while the reader
- * is blocked waiting for the client's next line — an interactive
- * client that pipelines a burst and then waits for replies before
- * closing would deadlock otherwise. The window bounds this stream's
- * in-flight requests on top of the engine's global queue bound.
+ * order.
+ *
+ * A request the engine can answer without a cycle walk or file I/O
+ * (Engine::answersInline) is answered on this, the reader's, thread
+ * whenever nothing is ahead of it on the stream: decode, execute,
+ * encode, append to `out`. `out` goes to the peer in one write once
+ * `lineBuffered` reports no further complete line, so a pipelined
+ * burst costs one write per read batch and no thread hand-off.
+ *
+ * Everything else — puts, requests under GANACC_ENGINE=walk, misses of
+ * a persistent tier, and any request that arrives while pooled work is
+ * pending — is submitted to the engine's pool. A dedicated writer
+ * thread drains the in-order future queue, so pooled responses go out
+ * the moment they resolve even while the reader is blocked waiting
+ * for the client's next line — an interactive client that pipelines a
+ * burst and then waits for replies before closing would deadlock
+ * otherwise. The window bounds this stream's pooled requests on top
+ * of the engine's global queue bound.
+ *
+ * Order: inline answers are only taken while the future queue is
+ * empty and the writer idle, and `out` is flushed before the next
+ * pooled request is queued, so the reader and the writer never both
+ * own the stream.
  */
 ServeTotals
 pumpOrderedStream(Engine &engine,
                   const std::function<bool(std::string &)> &getLine,
+                  const std::function<bool()> &lineBuffered,
                   const std::function<bool(const std::string &)> &put)
 {
     ServeTotals totals;
@@ -99,6 +159,7 @@ pumpOrderedStream(Engine &engine,
     std::mutex m;
     std::condition_variable cv;
     std::deque<std::future<Response>> pending;
+    bool writing = false; ///< the writer holds a popped future
     bool done = false;
     std::uint64_t written = 0;
 
@@ -110,6 +171,7 @@ pumpOrderedStream(Engine &engine,
                 return; // done and nothing left to write
             std::future<Response> fut = std::move(pending.front());
             pending.pop_front();
+            writing = true;
             cv.notify_all(); // a window slot freed up for the reader
             lk.unlock();
             const Response rsp = fut.get();
@@ -117,44 +179,91 @@ pumpOrderedStream(Engine &engine,
             const bool traceEncode = rsp.traceKept && sink.enabled();
             const std::uint64_t encT0 = traceEncode ? sink.nowUs() : 0;
             const bool ok = put(encodeResponse(rsp) + "\n");
-            if (traceEncode) {
-                // Close the hop with the transport's encode+write
-                // span, parented under the engine's request span.
-                obs::TraceEvent ev;
-                ev.name = "serve.encode";
-                ev.cat = "serve";
-                ev.tid = obs::TraceSink::threadLane();
-                ev.ts = encT0;
-                const std::uint64_t encT1 = sink.nowUs();
-                ev.dur = encT1 > encT0 ? encT1 - encT0 : 1;
-                ev.args = obs::spanArgs(rsp.traceId, obs::newSpanId(),
-                                        rsp.traceSpan);
-                sink.record(std::move(ev));
-            }
+            if (traceEncode)
+                recordEncodeSpan({rsp.traceId, rsp.traceSpan, encT0});
             lk.lock();
+            writing = false;
             if (ok)
                 ++written;
         }
     });
+
+    // The reader's batch of inline answers, written by flush().
+    std::string out;
+    std::uint64_t outCount = 0;
+    std::uint64_t writtenInline = 0;
+    std::vector<EncodeSpan> openEncodes; ///< closed by flush()
+    const auto flush = [&] {
+        if (outCount == 0)
+            return;
+        if (put(out))
+            writtenInline += outCount;
+        for (const EncodeSpan &enc : openEncodes)
+            recordEncodeSpan(enc);
+        out.clear();
+        outCount = 0;
+        openEncodes.clear();
+    };
 
     std::string line;
     while (getLine(line)) {
         if (line.empty())
             continue;
         ++totals.lines;
-        std::future<Response> fut = submitLine(engine, line);
+        DecodedLine d = decodeLine(line);
+        bool idle;
+        {
+            std::lock_guard<std::mutex> lk(m);
+            idle = pending.empty() && !writing;
+        }
+        if (idle && (d.error || engine.answersInline(d.req))) {
+            Response rsp;
+            if (d.error) {
+                rsp = std::move(*d.error);
+            } else {
+                try {
+                    rsp = engine.answer(d.req);
+                } catch (const std::exception &e) {
+                    // Refused: the engine is draining.
+                    rsp = errorResponse(d.req.id, e.what());
+                }
+            }
+            obs::TraceSink &sink = obs::TraceSink::instance();
+            if (rsp.traceKept && sink.enabled())
+                openEncodes.push_back(
+                    {rsp.traceId, rsp.traceSpan, sink.nowUs()});
+            out += encodeResponse(rsp);
+            out += '\n';
+            ++outCount;
+            if (!lineBuffered())
+                flush();
+            continue;
+        }
+        flush();
+        std::future<Response> fut;
+        if (d.error) {
+            fut = readyFuture(std::move(*d.error));
+        } else {
+            try {
+                fut = engine.submit(d.req);
+            } catch (const std::exception &e) {
+                // Refused: the engine is draining.
+                fut = readyFuture(errorResponse(d.req.id, e.what()));
+            }
+        }
         std::unique_lock<std::mutex> lk(m);
         cv.wait(lk, [&] { return pending.size() < window; });
         pending.push_back(std::move(fut));
         cv.notify_all();
     }
+    flush();
     {
         std::lock_guard<std::mutex> lk(m);
         done = true;
     }
     cv.notify_all();
     writer.join();
-    totals.responses = written;
+    totals.responses = written + writtenInline;
     return totals;
 }
 
@@ -168,6 +277,7 @@ runPipeServer(std::istream &in, std::ostream &out, Engine &engine)
         [&in](std::string &line) {
             return bool(std::getline(in, line));
         },
+        [&in] { return in.rdbuf()->in_avail() > 0; },
         [&out](const std::string &bytes) {
             out << bytes;
             out.flush();
@@ -203,6 +313,7 @@ serveConnection(int fd, Engine &engine, std::atomic<std::uint64_t> &lines,
             return reader.next(line) == LineReader::Status::Line ||
                    reader.takeRest(line);
         },
+        [&reader] { return reader.hasLine(); },
         [fd](const std::string &bytes) { return sendAll(fd, bytes); });
     lines.fetch_add(totals.lines, std::memory_order_relaxed);
     responses.fetch_add(totals.responses, std::memory_order_relaxed);

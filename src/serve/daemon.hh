@@ -5,10 +5,12 @@
  * daemon, many clients).
  *
  * Both speak the JSON-lines protocol of serve/protocol.hh and drive a
- * shared Engine. Responses to one connection are written in request
- * order (the engine may execute out of order; the writer re-serializes)
- * so a client can match responses to requests positionally as well as
- * by id.
+ * shared Engine. A connection's reader thread answers the requests
+ * that need neither a cycle walk nor file I/O itself (Engine::answer),
+ * one write per read batch; the rest go to the engine's pool, and a
+ * per-connection writer thread re-serializes them. Responses to one
+ * connection are written in request order either way, so a client
+ * can match responses to requests positionally as well as by id.
  *
  * Lifecycle: runSocketServer() polls the listening socket so it can
  * observe the stop flag — the SIGTERM/SIGINT handler merely sets it —

@@ -12,6 +12,7 @@
 #include "gan/models.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
+#include "sim/closed_form.hh"
 #include "sim/phase.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -137,7 +138,7 @@ Engine::Engine(const EngineOptions &opts)
 }
 
 core::CycleCache &
-Engine::liveCache()
+Engine::liveCache() const
 {
     return ownCache_ ? *ownCache_ : core::CycleCache::instance();
 }
@@ -345,8 +346,8 @@ Engine::execute(const Request &req, std::uint64_t admitUs)
     return rsp;
 }
 
-std::future<Response>
-Engine::submit(const Request &req)
+std::optional<Response>
+Engine::answerProbe(const Request &req) const
 {
     // Telemetry probes bypass the admission queue, the dedupe table
     // and the worker pool entirely: observability must answer even
@@ -354,29 +355,67 @@ Engine::submit(const Request &req)
     // with (or displace) simulation work.
     if (req.statsProbe) {
         mStatsProbes_.add(1);
-        std::promise<Response> ready;
-        ready.set_value(statsResponse(req.id));
-        return ready.get_future();
+        return statsResponse(req.id);
     }
     // Fleet-topology probes answer from configuration the same way.
     if (req.fleetProbe) {
         mFleetProbes_.add(1);
-        std::promise<Response> ready;
-        ready.set_value(fleetResponse(req.id));
-        return ready.get_future();
+        return fleetResponse(req.id);
     }
     // So do the live-collection probes: a saturated queue must not
     // stop a scrape or a trace drain.
     if (req.metricsProbe) {
         mMetricsProbes_.add(1);
-        std::promise<Response> ready;
-        ready.set_value(metricsResponse(req.id));
-        return ready.get_future();
+        return metricsResponse(req.id);
     }
     if (req.traceDrainProbe) {
         mTraceDrains_.add(1);
+        return traceDrainResponse(req.id);
+    }
+    return std::nullopt;
+}
+
+bool
+Engine::answersInline(const Request &req) const
+{
+    if (req.statsProbe || req.fleetProbe || req.metricsProbe ||
+        req.traceDrainProbe)
+        return true;
+    if (req.put || !sim::fastPathEnabled())
+        return false;
+    // With a persistent tier attached, a memory miss reads and writes
+    // files: that I/O belongs on the pool, where misses overlap.
+    const core::CycleCache &cache = liveCache();
+    return !cache.diskTier() ||
+           (req.hasSpec && cache.contains(req.kind, req.unroll, req.spec));
+}
+
+Response
+Engine::answer(const Request &req)
+{
+    if (std::optional<Response> probe = answerProbe(req))
+        return std::move(*probe);
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        if (draining_)
+            util::fatal("engine: submit after drain");
+        ++inlineInFlight_;
+    }
+    mInFlight_.add(1);
+    Response rsp = execute(req, /*admitUs=*/0);
+    mInFlight_.add(-1);
+    std::lock_guard<std::mutex> lk(m_);
+    if (--inlineInFlight_ == 0 && draining_)
+        queueCv_.notify_all();
+    return rsp;
+}
+
+std::future<Response>
+Engine::submit(const Request &req)
+{
+    if (std::optional<Response> probe = answerProbe(req)) {
         std::promise<Response> ready;
-        ready.set_value(traceDrainResponse(req.id));
+        ready.set_value(std::move(*probe));
         return ready.get_future();
     }
 
@@ -484,7 +523,9 @@ Engine::drain()
     std::unique_lock<std::mutex> lk(m_);
     draining_ = true;
     queueCv_.notify_all();
-    queueCv_.wait(lk, [&] { return inFlight_ == 0; });
+    queueCv_.wait(lk, [&] {
+        return inFlight_ == 0 && inlineInFlight_ == 0;
+    });
     lk.unlock();
     pool_->wait();
 }

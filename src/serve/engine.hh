@@ -4,26 +4,37 @@
  *
  * Separating execution from transport means the Unix-socket daemon,
  * the CI pipe mode, the throughput bench and the bit-identity tests
- * all drive the *same* object. The engine owns:
+ * all drive the *same* object. There are two ways in:
  *
- *  - a util::ThreadPool of workers executing requests,
- *  - a bounded admission queue: submit() blocks once `maxQueue`
- *    requests are in flight, which is the backpressure that keeps a
- *    fast client from ballooning daemon memory,
- *  - single-flight dedupe: identical requests (same content key)
- *    that arrive while the first is still simulating share one
- *    execution — followers wait on the leader's result and are
- *    reported with cache status "dup",
- *  - the lookup chain: CycleCache memory tier, then the optional
- *    persistent ResultStore tier, then the cycle walk (write-through
- *    both tiers),
- *  - drain(): stop admitting, finish everything in flight — the
- *    SIGTERM path.
+ *  - answer(): the caller's thread runs the request. The daemon uses
+ *    it for everything answersInline() accepts — the probes, and
+ *    spec and model/family requests while the closed form is active
+ *    and no file I/O is due — so a closed-form request costs no
+ *    thread hand-off at all.
+ *  - submit(): the pooled path, for what may run a cycle walk (every
+ *    request under GANACC_ENGINE=walk), for puts, and for misses of
+ *    the persistent tier, whose file reads and writes overlap on the
+ *    workers. It owns
+ *      - a util::ThreadPool of workers executing requests,
+ *      - a bounded admission queue: submit() blocks (or, with
+ *        shedOverload, sheds) once `maxQueue` pooled requests are in
+ *        flight, which is the backpressure that keeps a fast client
+ *        from ballooning daemon memory,
+ *      - single-flight dedupe: identical requests (same content key)
+ *        that arrive while the first is still executing share one
+ *        execution — followers wait on the leader's result and are
+ *        reported with cache status "dup".
+ *
+ * Both paths share the lookup chain (CycleCache memory tier, then the
+ * optional persistent ResultStore tier, then the simulation, written
+ * through both tiers), the counters, the metrics and the span batch.
+ * drain() stops admitting on both and waits for everything in flight
+ * on either — the SIGTERM path.
  *
  * Determinism: the executed RunStats are a pure function of the
  * request, so responses are bit-identical to direct in-process
- * simulation no matter which tier serves them or how requests
- * interleave (asserted by tests/test_serve_service.cc).
+ * simulation no matter which tier or path serves them or how
+ * requests interleave (asserted by tests/test_serve_service.cc).
  */
 
 #ifndef GANACC_SERVE_ENGINE_HH
@@ -36,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.hh"
@@ -109,6 +121,25 @@ class Engine
     /** Synchronous convenience: submit and wait. */
     Response handle(const Request &req);
 
+    /**
+     * True when answer() serves `req` without a cycle walk or file
+     * I/O: the probes, and spec or model/family requests while the
+     * closed form is active (sim::fastPathEnabled()) — with a
+     * persistent tier attached, only spec requests the memory tier
+     * already holds. Puts, every request under GANACC_ENGINE=walk and
+     * the persistent tier's misses belong on submit(), where they
+     * overlap.
+     */
+    bool answersInline(const Request &req) const;
+
+    /**
+     * Execute one request on the calling thread — no queue, no
+     * single-flight, no admission bound. It counts as in flight, so
+     * drain() waits for it, and throws util::FatalError after
+     * drain() began; probes are answered regardless, as in submit().
+     */
+    Response answer(const Request &req);
+
     /** Stop admitting and wait for every in-flight request. */
     void drain();
 
@@ -135,13 +166,15 @@ class Engine
 
   private:
     Response execute(const Request &req, std::uint64_t admitUs);
+    /** The answer to a probe request; nullopt for every other form. */
+    std::optional<Response> answerProbe(const Request &req) const;
     Response executeSpec(const Request &req);
     Response executePut(const Request &req);
     Response statsResponse(std::uint64_t id) const;
     Response fleetResponse(std::uint64_t id) const;
     Response metricsResponse(std::uint64_t id) const;
     Response traceDrainResponse(std::uint64_t id) const;
-    core::CycleCache &liveCache();
+    core::CycleCache &liveCache() const;
 
     EngineOptions opts_;
     ScopedDiskCache cache_;
@@ -151,8 +184,9 @@ class Engine
     std::unique_ptr<util::ThreadPool> pool_;
 
     mutable std::mutex m_;
-    std::condition_variable queueCv_; ///< wakes blocked submitters
-    std::size_t inFlight_ = 0;
+    std::condition_variable queueCv_; ///< wakes submitters and drain()
+    std::size_t inFlight_ = 0;       ///< pooled requests admitted
+    std::size_t inlineInFlight_ = 0; ///< answer() calls running
     bool draining_ = false;
     /// content key -> leader's shared result (single-flight).
     std::map<std::string, std::shared_future<Response>> inflightByKey_;

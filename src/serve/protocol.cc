@@ -181,48 +181,56 @@ decodeRequest(const std::string &line)
 std::string
 encodeResponse(const Response &rsp)
 {
-    std::ostringstream os;
-    os << "{\"v\":" << kProtocolVersion << ",\"id\":" << rsp.id
-       << ",\"ok\":" << (rsp.ok ? "true" : "false");
+    std::string out;
+    out.reserve(512);
+    out += "{\"v\":";
+    util::appendInt(out, kProtocolVersion);
+    out += ",\"id\":";
+    util::appendInt(out, rsp.id);
+    out += rsp.ok ? ",\"ok\":true" : ",\"ok\":false";
     if (!rsp.ok) {
-        os << ",\"error\":\"" << util::escapeJson(rsp.error) << "\"}";
-        return os.str();
+        out += ",\"error\":\"";
+        out += util::escapeJson(rsp.error);
+        out += "\"}";
+        return out;
     }
+    out += ",\"sim\":\"";
+    out += util::escapeJson(rsp.simVersion);
+    out += '"';
     if (!rsp.telemetry.empty()) {
         // Stats-probe responses replace the simulation payload with
         // the (already canonical JSON) metric snapshot.
-        os << ",\"sim\":\"" << util::escapeJson(rsp.simVersion)
-           << "\",\"telemetry\":" << rsp.telemetry << "}";
-        return os.str();
-    }
-    if (!rsp.fleet.empty()) {
+        out += ",\"telemetry\":";
+        out += rsp.telemetry;
+    } else if (!rsp.fleet.empty()) {
         // Fleet-probe responses carry the shard map instead.
-        os << ",\"sim\":\"" << util::escapeJson(rsp.simVersion)
-           << "\",\"fleet\":" << rsp.fleet << "}";
-        return os.str();
-    }
-    if (!rsp.metricsText.empty()) {
+        out += ",\"fleet\":";
+        out += rsp.fleet;
+    } else if (!rsp.metricsText.empty()) {
         // Metrics-probe responses carry the Prometheus text as one
         // JSON string (it is not JSON itself).
-        os << ",\"sim\":\"" << util::escapeJson(rsp.simVersion)
-           << "\",\"metrics\":\"" << util::escapeJson(rsp.metricsText)
-           << "\"}";
-        return os.str();
-    }
-    if (!rsp.spans.empty()) {
+        out += ",\"metrics\":\"";
+        out += util::escapeJson(rsp.metricsText);
+        out += '"';
+    } else if (!rsp.spans.empty()) {
         // Trace-drain responses carry the (already canonical JSON)
         // span batch.
-        os << ",\"sim\":\"" << util::escapeJson(rsp.simVersion)
-           << "\",\"spans\":" << rsp.spans << "}";
-        return os.str();
+        out += ",\"spans\":";
+        out += rsp.spans;
+    } else {
+        out += ",\"arch\":\"";
+        out += util::escapeJson(rsp.arch);
+        out += "\",\"unroll\":";
+        out += sim::toJson(rsp.unroll);
+        out += ",\"cache\":\"";
+        out += util::escapeJson(rsp.cache);
+        out += "\",\"latencyUs\":";
+        util::appendInt(out, rsp.latencyUs);
+        out += ",\"stats\":";
+        out += sim::toJson(rsp.stats);
     }
-    os << ",\"sim\":\"" << util::escapeJson(rsp.simVersion) << "\""
-       << ",\"arch\":\"" << util::escapeJson(rsp.arch) << "\""
-       << ",\"unroll\":" << sim::toJson(rsp.unroll) << ",\"cache\":\""
-       << util::escapeJson(rsp.cache) << "\",\"latencyUs\":"
-       << rsp.latencyUs << ",\"stats\":" << sim::toJson(rsp.stats)
-       << "}";
-    return os.str();
+    out += '}';
+    return out;
 }
 
 Response

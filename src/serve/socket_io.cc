@@ -65,6 +65,16 @@ LineReader::next(std::string &line)
 }
 
 bool
+LineReader::hasLine()
+{
+    const std::size_t nl = buf_.find('\n', scanned_);
+    // [head_, nl) holds no '\n' either way, so the next scan resumes
+    // where this one stopped.
+    scanned_ = nl == std::string::npos ? buf_.size() : nl;
+    return nl != std::string::npos;
+}
+
+bool
 LineReader::takeRest(std::string &line)
 {
     if (head_ == buf_.size())

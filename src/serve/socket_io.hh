@@ -44,6 +44,10 @@ class LineReader
      *  unterminated tail stays buffered for takeRest(). */
     Status next(std::string &line);
 
+    /** True when next() would return a Line without reading: a
+     *  complete line is already buffered. */
+    bool hasLine();
+
     /** Move the buffered unterminated tail into `line`; false when
      *  there is none. */
     bool takeRest(std::string &line);

@@ -16,7 +16,8 @@ namespace sim {
 std::string
 toJson(const RunStats &st)
 {
-    std::ostringstream os;
+    // Ten counters of at most 20 digits plus 144 bytes of names.
+    util::FixedText<384> os;
     os << "{\"cycles\":" << st.cycles << ",\"nPes\":" << st.nPes
        << ",\"effectiveMacs\":" << st.effectiveMacs
        << ",\"ineffectualMacs\":" << st.ineffectualMacs
@@ -50,7 +51,7 @@ runStatsFromJson(const util::json::Value &v)
 std::string
 toJson(const Unroll &u)
 {
-    std::ostringstream os;
+    util::FixedText<128> os; // six ints of at most 11 characters
     os << "{\"pIf\":" << u.pIf << ",\"pOf\":" << u.pOf
        << ",\"pKx\":" << u.pKx << ",\"pKy\":" << u.pKy
        << ",\"pOx\":" << u.pOx << ",\"pOy\":" << u.pOy << "}";

@@ -16,18 +16,24 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <filesystem>
+#include <mutex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "conform/ops.hh"
 #include "conform/reference.hh"
+#include "core/cycle_cache.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 #include "serve/engine.hh"
 #include "serve/result_store.hh"
+#include "sim/closed_form.hh"
 #include "sim/stats_diff.hh"
+#include "util/logging.hh"
 
 using namespace ganacc;
 namespace fs = std::filesystem;
@@ -177,4 +183,116 @@ TEST(ServeDrain, SigtermMidBurstAnswersEveryAcceptedRequest)
     EXPECT_EQ(0u, sc.staleMisses);
     EXPECT_EQ(0u, sc.corruptMisses);
     fs::remove_all(scratch);
+}
+
+namespace {
+
+/** A disk tier whose every load blocks until release(): it holds a
+ *  request mid-execution for as long as a test needs. */
+class GateTier : public core::StatsDiskTier
+{
+  public:
+    std::optional<sim::RunStats>
+    load(core::ArchKind, const sim::Unroll &,
+         const sim::ConvSpec &) override
+    {
+        std::unique_lock<std::mutex> lk(m_);
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lk, [&] { return open_; });
+        return std::nullopt;
+    }
+
+    void
+    store(core::ArchKind, const sim::Unroll &, const sim::ConvSpec &,
+          const sim::RunStats &) override
+    {
+    }
+
+    void
+    waitEntered()
+    {
+        std::unique_lock<std::mutex> lk(m_);
+        cv_.wait(lk, [&] { return entered_; });
+    }
+
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        open_ = true;
+        cv_.notify_all();
+    }
+
+  private:
+    std::mutex m_;
+    std::condition_variable cv_;
+    bool entered_ = false;
+    bool open_ = false;
+};
+
+} // namespace
+
+TEST(ServeDrain, InlineAnswersAreFencedLikePooledOnes)
+{
+    const std::vector<serve::Request> triples = sharedTriples();
+    serve::Request req = triples.front();
+    req.id = 11;
+
+    core::CycleCache::instance().clear();
+    GateTier gate;
+    core::CycleCache::instance().attachDiskTier(&gate);
+    serve::EngineOptions eo;
+    eo.jobs = 1;
+    eo.deterministic = true;
+    serve::Engine engine(eo);
+
+    // An inline answer held mid-lookup is in flight: drain() waits.
+    serve::Response rsp;
+    std::thread inlineAnswer([&] { rsp = engine.answer(req); });
+    gate.waitEntered();
+    std::atomic<bool> drained{false};
+    std::thread drainer([&] {
+        engine.drain();
+        drained.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(drained.load())
+        << "drain() returned under a running inline answer";
+    gate.release();
+    inlineAnswer.join();
+    drainer.join();
+    core::CycleCache::instance().attachDiskTier(nullptr);
+    ASSERT_TRUE(rsp.ok) << rsp.error;
+    EXPECT_TRUE(sim::statsEqual(
+        rsp.stats, conform::ReferenceModel::directStats(
+                       req.kind, req.unroll, req.spec)));
+
+    // After drain began, an inline request is refused exactly as a
+    // pooled one is.
+    serve::Request late = triples.back();
+    late.id = 12;
+    try {
+        engine.answer(late);
+        ADD_FAILURE() << "answer() after drain must throw";
+    } catch (const util::FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: engine: submit after drain");
+    }
+    const std::string line = serve::encodeRequest(late) + "\n";
+    const std::string refused =
+        "{\"v\":1,\"id\":12,\"ok\":false,"
+        "\"error\":\"fatal: engine: submit after drain\"}\n";
+    {
+        std::istringstream in(line);
+        std::ostringstream out;
+        serve::runPipeServer(in, out, engine);
+        EXPECT_EQ(out.str(), refused) << "inline path";
+    }
+    {
+        const sim::ScopedSimEngine walk(sim::SimEngine::Walk);
+        std::istringstream in(line);
+        std::ostringstream out;
+        serve::runPipeServer(in, out, engine);
+        EXPECT_EQ(out.str(), refused) << "pooled path";
+    }
 }

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -578,6 +580,92 @@ TEST(ServeProtocol, SpanResponsesCarryTheBatchVerbatim)
     EXPECT_EQ(serve::encodeResponse(serve::errorResponse(1, "x"))
                   .find("spans"),
               std::string::npos);
+}
+
+/** A counter value that hits the edges: 0, 1, UINT64_MAX, and
+ *  random widths in between. */
+std::uint64_t
+edgyU64(Rng &rng)
+{
+    switch (rng.uniformInt(0, 4)) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return std::numeric_limits<std::uint64_t>::max();
+      default:
+        return rng.engine()() >> rng.uniformInt(0, 63);
+    }
+}
+
+int
+edgyInt(Rng &rng)
+{
+    switch (rng.uniformInt(0, 4)) {
+      case 0: return 0;
+      case 1: return std::numeric_limits<int>::max();
+      case 2: return std::numeric_limits<int>::min();
+      default: return rng.uniformInt(-1000, 1 << 20);
+    }
+}
+
+TEST(ServeProtocol, IntegerEncodersMatchTheStreamReference)
+{
+    Rng rng(0x70C4A25);
+    for (int trial = 0; trial < 500; ++trial) {
+        sim::RunStats st;
+        st.cycles = edgyU64(rng);
+        st.nPes = edgyU64(rng);
+        st.effectiveMacs = edgyU64(rng);
+        st.ineffectualMacs = edgyU64(rng);
+        st.idlePeSlots = edgyU64(rng);
+        st.gatedSlots = edgyU64(rng);
+        st.weightLoads = edgyU64(rng);
+        st.inputLoads = edgyU64(rng);
+        st.outputReads = edgyU64(rng);
+        st.outputWrites = edgyU64(rng);
+        std::ostringstream stRef;
+        stRef << "{\"cycles\":" << st.cycles << ",\"nPes\":" << st.nPes
+              << ",\"effectiveMacs\":" << st.effectiveMacs
+              << ",\"ineffectualMacs\":" << st.ineffectualMacs
+              << ",\"idlePeSlots\":" << st.idlePeSlots
+              << ",\"gatedSlots\":" << st.gatedSlots
+              << ",\"weightLoads\":" << st.weightLoads
+              << ",\"inputLoads\":" << st.inputLoads
+              << ",\"outputReads\":" << st.outputReads
+              << ",\"outputWrites\":" << st.outputWrites << "}";
+        ASSERT_EQ(sim::toJson(st), stRef.str());
+
+        sim::Unroll u;
+        u.pIf = edgyInt(rng);
+        u.pOf = edgyInt(rng);
+        u.pKx = edgyInt(rng);
+        u.pKy = edgyInt(rng);
+        u.pOx = edgyInt(rng);
+        u.pOy = edgyInt(rng);
+        std::ostringstream uRef;
+        uRef << "{\"pIf\":" << u.pIf << ",\"pOf\":" << u.pOf
+             << ",\"pKx\":" << u.pKx << ",\"pKy\":" << u.pKy
+             << ",\"pOx\":" << u.pOx << ",\"pOy\":" << u.pOy << "}";
+        ASSERT_EQ(sim::toJson(u), uRef.str());
+
+        serve::Response rsp;
+        rsp.id = edgyU64(rng);
+        rsp.ok = true;
+        rsp.simVersion = serve::simulatorVersion();
+        rsp.arch = "ZFWST";
+        rsp.unroll = u;
+        rsp.cache = trial % 2 ? "sim" : "mem";
+        rsp.latencyUs = edgyU64(rng);
+        rsp.stats = st;
+        std::ostringstream rspRef;
+        rspRef << "{\"v\":" << serve::kProtocolVersion
+               << ",\"id\":" << rsp.id << ",\"ok\":true"
+               << ",\"sim\":\"" << rsp.simVersion << "\""
+               << ",\"arch\":\"" << rsp.arch << "\""
+               << ",\"unroll\":" << uRef.str() << ",\"cache\":\""
+               << rsp.cache << "\",\"latencyUs\":" << rsp.latencyUs
+               << ",\"stats\":" << stRef.str() << "}";
+        ASSERT_EQ(serve::encodeResponse(rsp), rspRef.str());
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -562,6 +563,107 @@ TEST_F(ServeServiceTest, TracedRequestsOpenCorrectlyParentedSpans)
     engine.drain();
     sink.disable();
     sink.drain();
+}
+
+/** The daemon's spans of one trace, by name, from a drained batch. */
+std::multimap<std::string, util::json::Object>
+hopSpans(const std::vector<obs::TraceEvent> &evs, const std::string &trace)
+{
+    std::multimap<std::string, util::json::Object> out;
+    for (const obs::TraceEvent &ev : evs) {
+        if (ev.name.rfind("serve.", 0) != 0)
+            continue;
+        const auto args = util::json::parse(ev.args).asObject();
+        if (args.at("trace").asString() == trace)
+            out.emplace(ev.name, args);
+    }
+    return out;
+}
+
+/** Serve `in` through a fresh pipe daemon and return its output. */
+std::string
+servePipe(const std::string &in)
+{
+    serve::EngineOptions opts;
+    opts.jobs = 1;
+    opts.deterministic = true;
+    opts.ownCache = true;
+    serve::Engine engine(opts);
+    std::istringstream is(in);
+    std::ostringstream os;
+    const serve::ServeTotals totals = serve::runPipeServer(is, os, engine);
+    engine.drain();
+    EXPECT_EQ(totals.responses, totals.lines);
+    return os.str();
+}
+
+TEST_F(ServeServiceTest, InlineAndPooledAnswersTraceTheSameHop)
+{
+    // A closed-form spec request, answered on the reader thread, then
+    // a put, which always takes the pool.
+    Rng rng(0x1A1E);
+    serve::Request spec;
+    spec.id = 1;
+    spec.kind = core::ArchKind::ZFWST;
+    spec.hasSpec = true;
+    spec.spec = randomSpec(rng);
+    spec.unroll = smallUnroll(rng);
+    spec.trace = "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa-0000000000000011";
+    serve::Request put = spec;
+    put.id = 2;
+    put.put = true;
+    put.spec = randomSpec(rng);
+    put.putStats = core::makeArch(put.kind, put.unroll)->run(put.spec);
+    put.putSimVersion = serve::simulatorVersion();
+    put.trace = "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb-0000000000000022";
+    const std::string in = serve::encodeRequest(spec) + "\n" +
+                           serve::encodeRequest(put) + "\n";
+
+    obs::TraceSink &sink = obs::TraceSink::instance();
+    sink.enable("");
+    sink.setSampling(1.0, 0);
+    const std::string traced = servePipe(in);
+    const std::vector<obs::TraceEvent> evs = sink.drain();
+    sink.disable();
+    sink.drain();
+    const std::string untraced = servePipe(in);
+    EXPECT_EQ(traced, untraced) << "tracing must not change a byte";
+
+    // Every span of a hop hangs off its serve.request, which hangs off
+    // the sender's span; serve.simulate nests under serve.cache.
+    const auto checkHop = [&](const std::string &trace,
+                              const std::string &senderSpan,
+                              const std::vector<std::string> &names) {
+        const auto spans = hopSpans(evs, trace);
+        std::vector<std::string> got;
+        for (const auto &[name, args] : spans)
+            got.push_back(name);
+        EXPECT_EQ(got, names) << "trace " << trace;
+        const auto req = spans.find("serve.request");
+        ASSERT_NE(req, spans.end());
+        EXPECT_EQ(req->second.at("parent").asString(), senderSpan);
+        const std::string hop = req->second.at("span").asString();
+        std::string cacheSpan;
+        for (const auto &[name, args] : spans) {
+            if (name == "serve.cache")
+                cacheSpan = args.at("span").asString();
+            if (name != "serve.request" && name != "serve.simulate") {
+                EXPECT_EQ(args.at("parent").asString(), hop) << name;
+            }
+        }
+        for (const auto &[name, args] : spans) {
+            if (name == "serve.simulate") {
+                EXPECT_EQ(args.at("parent").asString(), cacheSpan);
+            }
+        }
+    };
+    // Inline: no queue_wait, because nothing queued.
+    checkHop("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", "0000000000000011",
+             {"serve.cache", "serve.decode", "serve.encode",
+              "serve.request", "serve.simulate"});
+    checkHop("bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb", "0000000000000022",
+             {"serve.decode", "serve.encode", "serve.put",
+              "serve.queue_wait", "serve.request"});
 }
 
 TEST_F(ServeServiceTest, HeadDroppedRequestsLeaveNoSpans)

@@ -33,6 +33,7 @@
 #include "serve/engine.hh"
 #include "serve/protocol.hh"
 #include "serve/socket_io.hh"
+#include "sim/closed_form.hh"
 #include "sim/json.hh"
 #include "sim/phase.hh"
 #include "util/logging.hh"
@@ -374,6 +375,200 @@ TEST(ServeTcp, LineReaderFramesAMultiMegabyteLine)
 
     writer.join();
     ::close(sv[0]);
+}
+
+/** One pipelined line of the ordering test and the answer it must
+ *  get back. */
+struct OrderedLine
+{
+    std::string line;
+    std::uint64_t id = 0;
+    std::string error; ///< exact error text; empty = must be ok
+    bool probe = false; ///< a stats probe: ok with a telemetry payload
+    bool put = false;   ///< a put: acknowledged, not simulated
+    std::string stats;  ///< the direct run's RunStats JSON
+};
+
+/** The id a daemon salvages from a line that does not decode: the
+ *  malformed frames carry it as literal "id":NNN text, or not at all. */
+std::uint64_t
+literalId(const std::string &line)
+{
+    std::uint64_t id = 0;
+    const auto at = line.find("\"id\":");
+    if (at != std::string::npos)
+        for (std::size_t p = at + 5;
+             p < line.size() && line[p] >= '0' && line[p] <= '9'; ++p)
+            id = id * 10 + std::uint64_t(line[p] - '0');
+    return id;
+}
+
+/** Spec, model/family, put, stats-probe and malformed lines,
+ *  interleaved, each with the answer a direct run predicts. */
+std::vector<OrderedLine>
+orderedMix()
+{
+    const gan::GanModel model = gan::makeMnistGan();
+    const std::vector<conform::MalformedFrame> &frames =
+        conform::malformedFrames();
+    std::vector<OrderedLine> mix;
+    std::uint64_t id = 1000;
+    std::size_t frame = 0;
+    const auto direct = [](core::ArchKind kind, const sim::Unroll &u,
+                           const sim::ConvSpec &spec) {
+        return core::makeArch(kind, u)->run(spec);
+    };
+    for (const sim::PhaseFamily family :
+         {sim::PhaseFamily::D, sim::PhaseFamily::G, sim::PhaseFamily::Dw,
+          sim::PhaseFamily::Gw}) {
+        const core::BankRole role = family == sim::PhaseFamily::Dw ||
+                                            family == sim::PhaseFamily::Gw
+                                        ? core::BankRole::W
+                                        : core::BankRole::ST;
+        const std::string familyName = sim::phaseFamilyName(family);
+        for (const core::ArchKind kind :
+             {core::ArchKind::NLR, core::ArchKind::WST,
+              core::ArchKind::OST, core::ArchKind::ZFOST,
+              core::ArchKind::ZFWST}) {
+            const sim::Unroll u =
+                core::paperUnroll(kind, role, family, 480);
+            sim::RunStats total;
+            for (const sim::ConvSpec &job :
+                 sim::familyJobs(model, family)) {
+                const sim::RunStats st = direct(kind, u, job);
+                total += st;
+                OrderedLine spec;
+                spec.id = ++id;
+                spec.line = serve::encodeRequest(
+                    specRequest(spec.id, kind, u, job));
+                spec.stats = sim::toJson(st);
+                mix.push_back(spec);
+
+                // A put of a neighbouring unrolling: pooled on every
+                // engine, so it splits the inline runs.
+                serve::Request put = specRequest(++id, kind, u, job);
+                put.unroll.pOf += 1;
+                put.put = true;
+                put.putStats = direct(kind, put.unroll, job);
+                put.putSimVersion = serve::simulatorVersion();
+                OrderedLine ack;
+                ack.id = id;
+                ack.line = serve::encodeRequest(put);
+                ack.put = true;
+                ack.stats = sim::toJson(put.putStats);
+                mix.push_back(ack);
+
+                const conform::MalformedFrame &f =
+                    frames[frame++ % frames.size()];
+                OrderedLine bad;
+                bad.line = f.line;
+                bad.error = f.error;
+                bad.id = literalId(f.line);
+                mix.push_back(bad);
+            }
+            serve::Request net;
+            net.id = ++id;
+            net.kind = kind;
+            net.unroll = u;
+            net.model = "mnist-gan";
+            net.family = familyName;
+            OrderedLine familyLine;
+            familyLine.id = id;
+            familyLine.line = serve::encodeRequest(net);
+            familyLine.stats = sim::toJson(total);
+            mix.push_back(familyLine);
+
+            // A request that decodes but fails in the engine.
+            net.id = ++id;
+            net.model = "no-such-model";
+            OrderedLine unknown;
+            unknown.id = id;
+            unknown.line = serve::encodeRequest(net);
+            unknown.error = "fatal: unknown model \"no-such-model\" "
+                            "(dcgan, mnist-gan, cgan, context-encoder)";
+            mix.push_back(unknown);
+
+            serve::Request probe;
+            probe.id = ++id;
+            probe.statsProbe = true;
+            OrderedLine stats;
+            stats.id = id;
+            stats.line = serve::encodeRequest(probe);
+            stats.probe = true;
+            mix.push_back(stats);
+        }
+    }
+    return mix;
+}
+
+/** Pipeline every line of `mix` down one connection (a sender thread,
+ *  so neither side waits on the other's socket buffer) and check each
+ *  answer, in order. */
+void
+expectOrderedAnswers(const std::vector<OrderedLine> &mix,
+                     const std::string &cacheDir = std::string())
+{
+    serve::EngineOptions eo;
+    eo.jobs = 2;
+    eo.deterministic = true;
+    eo.cacheDir = cacheDir;
+    TcpDaemon daemon(eo);
+    serve::Client client;
+    client.connect(daemon.address());
+    std::thread sender([&] {
+        for (const OrderedLine &l : mix)
+            client.sendLine(l.line);
+    });
+    // Every response is read even after a mismatch, so the sender
+    // always finishes and joins.
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+        const OrderedLine &want = mix[i];
+        const serve::Response rsp = client.recvResponse();
+        if (rsp.id != want.id) {
+            ADD_FAILURE() << "line " << i << " out of order: id "
+                          << rsp.id << ", want " << want.id;
+            continue;
+        }
+        if (!want.error.empty()) {
+            EXPECT_FALSE(rsp.ok) << "line " << i;
+            EXPECT_EQ(rsp.error, want.error) << "line " << i;
+            continue;
+        }
+        if (!rsp.ok) {
+            ADD_FAILURE() << "line " << i << ": " << rsp.error;
+            continue;
+        }
+        if (want.probe) {
+            EXPECT_FALSE(rsp.telemetry.empty()) << "line " << i;
+            continue;
+        }
+        // A repeated layer shape repeats its put, which may coalesce
+        // into the identical put still in flight.
+        if (want.put) {
+            EXPECT_TRUE(rsp.cache == "put" || rsp.cache == "dup")
+                << "line " << i << ": " << rsp.cache;
+        }
+        EXPECT_EQ(sim::toJson(rsp.stats), want.stats) << "line " << i;
+    }
+    sender.join();
+}
+
+TEST(ServeTcp, InlineAndPooledAnswersKeepRequestOrder)
+{
+    const std::vector<OrderedLine> mix = orderedMix();
+    ASSERT_GT(mix.size(), 64u) << "must overrun the stream's window";
+    // Closed form: spec, model/family, probe and malformed lines are
+    // answered on the reader thread between the pooled puts.
+    expectOrderedAnswers(mix);
+    // A persistent tier: its misses and the model/family lines take
+    // the pool too, repeated layer shapes that memory holds do not.
+    const std::string store = scratchDir("order");
+    fs::remove_all(store);
+    expectOrderedAnswers(mix, store);
+    fs::remove_all(store);
+    // Walk: every request takes the pool.
+    const sim::ScopedSimEngine walk(sim::SimEngine::Walk);
+    expectOrderedAnswers(mix);
 }
 
 TEST(ServeTcp, ClosedConnectionsReleaseTheirThreads)

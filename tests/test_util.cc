@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
@@ -200,6 +201,49 @@ TEST(EscapeJson, EscapesQuotesBackslashesAndControls)
     EXPECT_EQ(escapeJson(std::string(1, '\x1f')), "\\u001f");
     // UTF-8 passes through untouched.
     EXPECT_EQ(escapeJson("caf\xc3\xa9"), "caf\xc3\xa9");
+}
+
+TEST(IntegerText, MatchesTheStreamAtTheEdges)
+{
+    Rng rng(0x1E7);
+    std::vector<std::uint64_t> u64 = {
+        0, 1, 9, 10, std::numeric_limits<std::uint64_t>::max()};
+    std::vector<std::int64_t> i64 = {
+        0, -1, std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max()};
+    for (int i = 0; i < 200; ++i) {
+        u64.push_back(rng.engine()() >> rng.uniformInt(0, 63));
+        i64.push_back(std::int64_t(rng.engine()()) >>
+                      rng.uniformInt(0, 63));
+    }
+    for (const std::uint64_t v : u64) {
+        std::ostringstream ref;
+        ref << "<" << v << '|';
+        std::string appended = "<";
+        appendInt(appended, v);
+        appended += '|';
+        EXPECT_EQ(appended, ref.str());
+        FixedText<32> fixed;
+        fixed << "<" << v << '|';
+        EXPECT_EQ(fixed.str(), ref.str());
+    }
+    for (const std::int64_t v : i64) {
+        std::ostringstream ref;
+        ref << v << ',' << int(v);
+        FixedText<32> fixed;
+        fixed << v << ',' << int(v);
+        EXPECT_EQ(fixed.str(), ref.str());
+    }
+}
+
+TEST(IntegerText, FixedTextRefusesToOverflow)
+{
+    FixedText<8> fixed;
+    fixed << "1234567";
+    EXPECT_THROW(fixed << "89", std::length_error);
+    EXPECT_THROW(fixed << std::uint64_t(42), std::length_error);
+    fixed << '8';
+    EXPECT_EQ(fixed.str(), "12345678");
 }
 
 TEST(ThreadPool, RunsEverySubmittedTask)
