@@ -15,7 +15,6 @@
 
 #include "core/cycle_cache.hh"
 #include "obs/telemetry.hh"
-#include "serve/result_store.hh"
 #include "util/args.hh"
 #include "util/table.hh"
 
@@ -35,16 +34,11 @@ banner(const std::string &experiment, const std::string &paper_claim)
 }
 
 /**
- * Standard cache wiring for a bench binary: registers --cache-dir
- * (falling back to GANACC_CACHE_DIR), attaches the persistent result
- * store under the process-wide CycleCache when a directory is given,
- * and prints the cache/store summary when the bench exits — so every
- * figure report ends with its hit/miss accounting (and a warm rerun
- * is visibly a stream of disk hits).
- *
- * Also the telemetry arming point for benches: --trace / GANACC_TRACE
- * / GANACC_EVENTS / GANACC_METRICS turn the process-wide sinks on for
- * the scope's lifetime. All telemetry status goes through
+ * Standard scope of a figure bench: the telemetry arming point
+ * (--trace / GANACC_TRACE / GANACC_EVENTS / GANACC_METRICS turn the
+ * process-wide sinks on for the scope's lifetime), and on exit the
+ * process-wide CycleCache summary, so every figure report ends with
+ * its memo hit/miss accounting. All telemetry status goes through
  * util::inform (stderr), so the figure text on stdout stays
  * byte-identical whether or not tracing is enabled.
  */
@@ -52,7 +46,6 @@ class CacheScope
 {
   public:
     explicit CacheScope(util::ArgParser &args)
-        : disk_(args.getCacheDir())
     {
         obs::TelemetryConfig cfg = obs::configFromEnv();
         const std::string trace = args.getTracePath();
@@ -65,17 +58,12 @@ class CacheScope
     ~CacheScope()
     {
         obs::shutdownTelemetry();
-        std::cout << "\n[" << core::CycleCache::instance().summary();
-        if (disk_.attached())
-            std::cout << "; " << disk_.store()->summary();
-        std::cout << "]\n";
+        std::cout << "\n[" << core::CycleCache::instance().summary()
+                  << "]\n";
     }
 
     CacheScope(const CacheScope &) = delete;
     CacheScope &operator=(const CacheScope &) = delete;
-
-  private:
-    serve::ScopedDiskCache disk_;
 };
 
 } // namespace bench

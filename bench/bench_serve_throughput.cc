@@ -255,7 +255,10 @@ main(int argc, char **argv)
 {
     util::ArgParser args(argc, argv);
     const int jobs = args.getJobs();
-    std::string cache_dir = args.getCacheDir();
+    std::string cache_dir = args.getString(
+        "cache-dir", "",
+        "result-store directory the bench wipes and refills (default: "
+        "a directory under the system temp path)");
     if (args.helpRequested()) {
         args.usage(std::cout);
         return 0;

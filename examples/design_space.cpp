@@ -19,7 +19,6 @@
 #include "core/unrolling.hh"
 #include "gan/models.hh"
 #include "sched/design.hh"
-#include "serve/result_store.hh"
 #include "util/args.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
@@ -33,10 +32,6 @@ main(int argc, char **argv)
     const bool no_verify = args.getFlag(
         "no-verify",
         "skip the static verifier pre-filter on frontier sweeps");
-    // A warm --cache-dir/GANACC_CACHE_DIR result store turns repeat
-    // explorations into disk reads; the summary at the end shows
-    // which tier served this run.
-    serve::ScopedDiskCache disk_cache(args.getCacheDir());
     if (args.helpRequested()) {
         args.usage(std::cout);
         return 0;
@@ -148,9 +143,7 @@ main(int argc, char **argv)
                   choices[i].unroll.pOf, choices[i].cycles);
     sv.print(std::cout);
 
-    std::cout << "\n[" << core::CycleCache::instance().summary();
-    if (disk_cache.attached())
-        std::cout << "; " << disk_cache.store()->summary();
-    std::cout << "]\n";
+    std::cout << "\n[" << core::CycleCache::instance().summary()
+              << "]\n";
     return 0;
 }

@@ -1,13 +1,12 @@
 /**
  * @file
- * Conformance-harness implementation: the two SUT wrappers, the
+ * Conformance-harness implementation: the SUT wrappers, the
  * response/counter/store differs and the lockstep driver.
  */
 
 #include "conform/harness.hh"
 
 #include <atomic>
-#include <chrono>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -29,6 +28,7 @@
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 #include "serve/engine.hh"
+#include "serve/socket_io.hh"
 #include "sim/json.hh"
 #include "sim/stats_diff.hh"
 #include "util/json.hh"
@@ -41,6 +41,8 @@ namespace conform {
 
 namespace {
 
+/** Write every byte to a pipe, retrying EINTR: serve::sendAll uses
+ *  send(2), which pipes reject. */
 bool
 writeAllFd(int fd, const std::string &bytes)
 {
@@ -56,42 +58,6 @@ writeAllFd(int fd, const std::string &bytes)
     }
     return true;
 }
-
-/** Line-buffered reader over a pipe fd (mirror of the daemon's). */
-class LineReader
-{
-  public:
-    explicit LineReader(int fd) : fd_(fd) {}
-
-    bool
-    getline(std::string &line)
-    {
-        while (true) {
-            auto nl = buf_.find('\n');
-            if (nl != std::string::npos) {
-                line = buf_.substr(0, nl);
-                buf_.erase(0, nl + 1);
-                return true;
-            }
-            char chunk[4096];
-            ssize_t n = ::read(fd_, chunk, sizeof chunk);
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n <= 0) {
-                if (buf_.empty())
-                    return false;
-                line.swap(buf_);
-                buf_.clear();
-                return true;
-            }
-            buf_.append(chunk, std::size_t(n));
-        }
-    }
-
-  private:
-    int fd_;
-    std::string buf_;
-};
 
 /** A daemon under test: start, exchange lines, stop-and-drain. */
 class Sut
@@ -163,17 +129,23 @@ class Sut
     }
 };
 
-/** AF_UNIX daemon: serve::runSocketServer + serve::Client. */
-class UnixSut : public Sut
+/**
+ * Socket daemon over AF_UNIX or loopback TCP: serve::listenUnix or
+ * serve::listenTcp + serve::serveListener, reached by serve::Client.
+ * The listener is bound before the server thread starts, so the
+ * listen backlog holds the client's connect until the first poll and
+ * no connect-retry loop is needed.
+ */
+class SocketSut : public Sut
 {
   public:
-    UnixSut(const RunOptions &opt, std::string storeDir)
-        : opt_(opt), storeDir_(std::move(storeDir)),
+    SocketSut(const RunOptions &opt, std::string storeDir, bool tcp)
+        : opt_(opt), storeDir_(std::move(storeDir)), tcp_(tcp),
           socket_(opt.scratchDir + "/sock")
     {
     }
 
-    ~UnixSut() override
+    ~SocketSut() override
     {
         try {
             if (thread_.joinable())
@@ -191,29 +163,20 @@ class UnixSut : public Sut
         stop_.store(false);
         engine_ = std::make_unique<serve::Engine>(
             engineOptions(opt_, storeDir_));
-        thread_ = std::thread([this] {
+        std::string address = socket_;
+        const int listener =
+            tcp_ ? serve::listenTcp("127.0.0.1:0", &address)
+                 : serve::listenUnix(socket_);
+        thread_ = std::thread([this, listener] {
             try {
                 totals_ =
-                    serve::runSocketServer(socket_, *engine_, stop_);
+                    serve::serveListener(listener, *engine_, stop_);
             } catch (const std::exception &e) {
                 threadError_ = e.what();
             }
         });
         client_ = std::make_unique<serve::Client>();
-        for (int attempt = 0;; ++attempt) {
-            try {
-                client_->connect(socket_);
-                break;
-            } catch (const std::exception &) {
-                if (!threadError_.empty() || attempt > 2500)
-                    util::fatal("conform: cannot reach daemon at ",
-                                socket_, threadError_.empty()
-                                             ? ""
-                                             : ": " + threadError_);
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(2));
-            }
-        }
+        client_->connect(address);
     }
 
     std::vector<std::string>
@@ -235,6 +198,8 @@ class UnixSut : public Sut
         client_->close();
         stop_.store(true);
         thread_.join();
+        if (!tcp_)
+            ::unlink(socket_.c_str());
         const std::string err =
             drainVerdict(totals_, sent_, threadError_);
         engine_.reset();
@@ -244,7 +209,8 @@ class UnixSut : public Sut
   private:
     RunOptions opt_;
     std::string storeDir_;
-    std::string socket_;
+    bool tcp_;
+    std::string socket_; ///< the AF_UNIX path (unused over TCP)
     std::unique_ptr<serve::Engine> engine_;
     std::unique_ptr<serve::Client> client_;
     std::thread thread_;
@@ -292,7 +258,7 @@ class PipeSut : public Sut
                 threadError_ = e.what();
             }
         });
-        reader_ = std::make_unique<LineReader>(fromSrv_[0]);
+        reader_ = serve::LineReader(fromSrv_[0]);
     }
 
     std::vector<std::string>
@@ -310,7 +276,7 @@ class PipeSut : public Sut
         out.reserve(lines.size());
         for (std::size_t i = 0; i < lines.size(); ++i) {
             std::string line;
-            if (!reader_->getline(line))
+            if (!readLine(line))
                 util::fatal("conform: daemon closed the pipe with ",
                             lines.size() - i, " responses pending");
             out.push_back(std::move(line));
@@ -328,12 +294,11 @@ class PipeSut : public Sut
         ::close(fromSrv_[1]);
         toSrv_[0] = fromSrv_[1] = -1;
         std::string leftover;
-        if (reader_->getline(leftover) && !leftover.empty())
+        if (readLine(leftover) && !leftover.empty())
             return "daemon wrote an unsolicited response: " +
                    leftover;
         ::close(fromSrv_[0]);
         fromSrv_[0] = -1;
-        reader_.reset();
         const std::string err =
             drainVerdict(totals_, sent_, threadError_);
         engine_.reset();
@@ -341,98 +306,25 @@ class PipeSut : public Sut
     }
 
   private:
+    /** Next response line; an unterminated tail at EOF counts as
+     *  the last one. */
+    bool
+    readLine(std::string &line)
+    {
+        return reader_.next(line) == serve::LineReader::Status::Line ||
+               reader_.takeRest(line);
+    }
+
     RunOptions opt_;
     std::string storeDir_;
     std::unique_ptr<serve::Engine> engine_;
-    std::unique_ptr<LineReader> reader_;
+    serve::LineReader reader_;
     std::thread thread_;
     serve::ServeTotals totals_;
     std::string threadError_;
     std::uint64_t sent_ = 0;
     int toSrv_[2] = {-1, -1};
     int fromSrv_[2] = {-1, -1};
-};
-
-/** Loopback-TCP daemon: serve::listenTcp + serveListener. */
-class TcpSut : public Sut
-{
-  public:
-    TcpSut(const RunOptions &opt, std::string storeDir)
-        : opt_(opt), storeDir_(std::move(storeDir))
-    {
-    }
-
-    ~TcpSut() override
-    {
-        try {
-            if (thread_.joinable())
-                stop();
-        } catch (...) {
-        }
-    }
-
-    void
-    start() override
-    {
-        sent_ = 0;
-        totals_ = {};
-        threadError_.clear();
-        stop_.store(false);
-        engine_ = std::make_unique<serve::Engine>(
-            engineOptions(opt_, storeDir_));
-        // Bind synchronously, then serve on a thread: the listen
-        // backlog holds the client's connect until the first poll,
-        // so no connect-retry loop is needed.
-        const int listener =
-            serve::listenTcp("127.0.0.1:0", &bound_);
-        thread_ = std::thread([this, listener] {
-            try {
-                totals_ =
-                    serve::serveListener(listener, *engine_, stop_);
-            } catch (const std::exception &e) {
-                threadError_ = e.what();
-            }
-        });
-        client_ = std::make_unique<serve::Client>();
-        client_->connect(bound_);
-    }
-
-    std::vector<std::string>
-    transact(const std::vector<std::string> &lines) override
-    {
-        for (const std::string &line : lines)
-            client_->sendLine(line);
-        sent_ += lines.size();
-        std::vector<std::string> out;
-        out.reserve(lines.size());
-        for (std::size_t i = 0; i < lines.size(); ++i)
-            out.push_back(client_->recvLine());
-        return out;
-    }
-
-    std::string
-    stop() override
-    {
-        client_->close();
-        stop_.store(true);
-        thread_.join();
-        const std::string err =
-            drainVerdict(totals_, sent_, threadError_);
-        engine_.reset();
-        return err;
-    }
-
-  private:
-    RunOptions opt_;
-    std::string storeDir_;
-    std::string bound_;
-    std::unique_ptr<serve::Engine> engine_;
-    std::unique_ptr<serve::Client> client_;
-    std::thread thread_;
-    std::atomic<bool> stop_{false};
-    serve::ServeTotals totals_;
-    std::string threadError_;
-    std::uint64_t sent_ = 0;
 };
 
 /// Fleet conformance runs replicate at the paper fleet's default.
@@ -622,15 +514,10 @@ class FleetSut : public Sut
 std::unique_ptr<Sut>
 makeSut(const RunOptions &opt, const std::string &storeDir)
 {
-    switch (opt.mode) {
-      case SutMode::Unix:
-        return std::make_unique<UnixSut>(opt, storeDir);
-      case SutMode::Pipe:
+    if (opt.mode == SutMode::Pipe)
         return std::make_unique<PipeSut>(opt, storeDir);
-      case SutMode::Tcp:
-        return std::make_unique<TcpSut>(opt, storeDir);
-    }
-    return std::make_unique<UnixSut>(opt, storeDir);
+    return std::make_unique<SocketSut>(opt, storeDir,
+                                       opt.mode == SutMode::Tcp);
 }
 
 /** The wire lines one operation sends. */
@@ -829,8 +716,6 @@ class FleetModel
         add(sum.overloaded, c.overloaded);
         add(sum.cacheHits, c.cacheHits);
         add(sum.cacheMisses, c.cacheMisses);
-        add(sum.cacheDiskHits, c.cacheDiskHits);
-        add(sum.cacheSimulated, c.cacheSimulated);
         sum.cacheEntries += c.cacheEntries;
         add(sum.storeHits, c.storeHits);
         add(sum.storeMisses, c.storeMisses);
@@ -1030,10 +915,6 @@ checkCounters(std::size_t opIndex, const std::string &telemetry,
           c.cacheHits);
     check("cache misses", cval("ganacc_cache_misses_total"),
           c.cacheMisses);
-    check("cache disk hits", cval("ganacc_cache_disk_hits_total"),
-          c.cacheDiskHits);
-    check("cache simulated", cval("ganacc_cache_simulated_total"),
-          c.cacheSimulated);
     check("store hits", cval("ganacc_store_hits_total"),
           c.storeHits);
     check("store misses", cval("ganacc_store_misses_total"),

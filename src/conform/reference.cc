@@ -226,7 +226,6 @@ ReferenceModel::lookupJob(core::ArchKind kind, const sim::Unroll &u,
             break;
           case DiskState::Good:
             c_.storeHits.bump();
-            c_.cacheDiskHits.bump();
             mem_.insert(key);
             return "disk";
           case DiskState::PlantedStale:
@@ -240,7 +239,6 @@ ReferenceModel::lookupJob(core::ArchKind kind, const sim::Unroll &u,
         }
     }
     // Cycle walk plus write-through.
-    c_.cacheSimulated.bump();
     writeThrough(e);
     mem_.insert(key);
     return "sim";
@@ -493,8 +491,6 @@ ReferenceModel::noteEvictMemory()
     mem_.clear();
     c_.cacheHits = Interval{};
     c_.cacheMisses = Interval{};
-    c_.cacheDiskHits = Interval{};
-    c_.cacheSimulated = Interval{};
     c_.cacheEntries = 0;
 }
 

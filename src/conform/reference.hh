@@ -101,7 +101,7 @@ struct CounterExpectations
     /// fleet runs, overloaded stays zero even there (lockstep never
     /// fills a 256-deep queue).
     Interval puts, overloaded;
-    Interval cacheHits, cacheMisses, cacheDiskHits, cacheSimulated;
+    Interval cacheHits, cacheMisses;
     std::uint64_t cacheEntries = 0;
     Interval storeHits, storeMisses, storeStale, storeCorrupt,
         storeWrites;
@@ -199,9 +199,9 @@ class ReferenceModel
      *  ResultStore::store's fault-seam order. */
     void writeThrough(Entry &e);
 
-    /** One cache-level lookup: mirrors CycleCache::stats over the
-     *  modelled tiers, mutating counters, fault budgets and disk
-     *  state. Returns "mem" / "disk" / "sim". */
+    /** One job lookup: mirrors the engine's memo -> store ->
+     *  simulate chain over the modelled tiers, mutating counters,
+     *  fault budgets and disk state. Returns "mem" / "disk" / "sim". */
     std::string lookupJob(core::ArchKind kind, const sim::Unroll &u,
                           const sim::ConvSpec &spec);
 

@@ -10,7 +10,6 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/closed_form.hh"
 #include "util/strings.hh"
 
 namespace ganacc {
@@ -18,69 +17,33 @@ namespace core {
 
 namespace {
 
-/** Cache-key engine tag. "*" marks kinds whose fast path is proven
- *  bit-identical to the cycle walk (all five dataflows, enforced by
- *  the differential-fuzz parity suite), so fast and walk runs share
- *  entries. A future kind without proven parity must return the
- *  active engine's name here to keep its results segregated. */
-std::string
-engineTag(ArchKind kind)
+/** The ganacc_cache_* series of one cache. */
+void
+publish(obs::Snapshot &snap, const CacheStats &s)
 {
-    switch (kind) {
-      case ArchKind::NLR:
-      case ArchKind::WST:
-      case ArchKind::OST:
-      case ArchKind::ZFOST:
-      case ArchKind::ZFWST:
-        return "*";
-    }
-    return sim::simEngineName(sim::simEngine());
-}
-
-/** Every field that shapes a timing-only run, label excluded. */
-std::string
-keyOf(ArchKind kind, const sim::Unroll &u, const sim::ConvSpec &s)
-{
-    util::FixedText<384> os; // 24 ints of at most 11 characters + tag
-    os << int(kind) << '|' << u.pIf << ',' << u.pOf << ',' << u.pKx
-       << ',' << u.pKy << ',' << u.pOx << ',' << u.pOy << '|' << s.nif
-       << ',' << s.nof << ',' << s.ih << ',' << s.iw << ',' << s.kh
-       << ',' << s.kw << ',' << s.oh << ',' << s.ow << ',' << s.stride
-       << ',' << s.pad << ',' << s.inZeroStride << ',' << s.inOrigH
-       << ',' << s.inOrigW << ',' << s.kZeroStride << ',' << s.kOrigH
-       << ',' << s.kOrigW << ',' << int(s.fourDimOutput) << '|'
-       << engineTag(kind);
-    return os.str();
+    snap.counter("ganacc_cache_mem_hits_total", s.hits);
+    snap.counter("ganacc_cache_misses_total", s.misses);
+    snap.gauge("ganacc_cache_entries", std::int64_t(s.entries));
 }
 
 } // namespace
 
-std::string
-cacheOutcomeName(CacheOutcome o)
+sim::RunStats
+simulate(ArchKind kind, const sim::Unroll &u, const sim::ConvSpec &spec)
 {
-    switch (o) {
-      case CacheOutcome::MemoryHit: return "mem";
-      case CacheOutcome::DiskHit: return "disk";
-      case CacheOutcome::Simulated: return "sim";
-    }
-    return "?";
+    // A no-op span unless --trace / GANACC_TRACE armed the sink.
+    obs::Span span("simulate", "sim",
+                   obs::TraceSink::instance().enabled()
+                       ? "{\"arch\":\"" + archKindName(kind) + "\"}"
+                       : std::string());
+    return makeArch(kind, u)->run(spec);
 }
 
 CycleCache::CycleCache(bool publishMetrics)
 {
-    if (!publishMetrics)
-        return;
-    collector_ = obs::Registry::instance().addCollector(
-        [this](obs::Snapshot &snap) {
-            const CacheStats s = cacheStats();
-            snap.counter("ganacc_cache_mem_hits_total", s.hits);
-            snap.counter("ganacc_cache_misses_total", s.misses);
-            snap.counter("ganacc_cache_disk_hits_total", s.diskHits);
-            snap.counter("ganacc_cache_simulated_total",
-                         s.simulated());
-            snap.gauge("ganacc_cache_entries",
-                       std::int64_t(s.entries));
-        });
+    if (publishMetrics)
+        collector_ = obs::Registry::instance().addCollector(
+            [this](obs::Snapshot &snap) { publish(snap, cacheStats()); });
 }
 
 CycleCache::~CycleCache()
@@ -97,68 +60,46 @@ CycleCache::instance()
     // collector copies them at snapshot time, so lookups stay free of
     // registry traffic. Registered once, on first use.
     static const int collector = obs::Registry::instance().addCollector(
-        [](obs::Snapshot &snap) {
-            const CacheStats s = cache.cacheStats();
-            snap.counter("ganacc_cache_mem_hits_total", s.hits);
-            snap.counter("ganacc_cache_misses_total", s.misses);
-            snap.counter("ganacc_cache_disk_hits_total", s.diskHits);
-            snap.counter("ganacc_cache_simulated_total",
-                         s.simulated());
-            snap.gauge("ganacc_cache_entries",
-                       std::int64_t(s.entries));
-        });
+        [](obs::Snapshot &snap) { publish(snap, cache.cacheStats()); });
     (void)collector;
     return cache;
 }
 
-void
-CycleCache::attachDiskTier(StatsDiskTier *tier)
+std::string
+CycleCache::keyOf(ArchKind kind, const sim::Unroll &u,
+                  const sim::ConvSpec &s)
 {
-    disk_ = tier;
+    util::FixedText<384> os; // 24 ints of at most 11 characters
+    os << int(kind) << '|' << u.pIf << ',' << u.pOf << ',' << u.pKx
+       << ',' << u.pKy << ',' << u.pOx << ',' << u.pOy << '|' << s.nif
+       << ',' << s.nof << ',' << s.ih << ',' << s.iw << ',' << s.kh
+       << ',' << s.kw << ',' << s.oh << ',' << s.ow << ',' << s.stride
+       << ',' << s.pad << ',' << s.inZeroStride << ',' << s.inOrigH
+       << ',' << s.inOrigW << ',' << s.kZeroStride << ',' << s.kOrigH
+       << ',' << s.kOrigW << ',' << int(s.fourDimOutput);
+    return os.str();
 }
 
-sim::RunStats
-CycleCache::stats(ArchKind kind, const sim::Unroll &u,
-                  const sim::ConvSpec &spec, CacheOutcome *outcome)
+std::optional<sim::RunStats>
+CycleCache::find(const std::string &key)
 {
-    const std::string key = keyOf(kind, u, spec);
     {
         std::shared_lock<std::shared_mutex> lk(m_);
         auto it = map_.find(key);
         if (it != map_.end()) {
             hits_.fetch_add(1, std::memory_order_relaxed);
-            if (outcome)
-                *outcome = CacheOutcome::MemoryHit;
             return it->second;
         }
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
-    sim::RunStats st;
-    CacheOutcome got = CacheOutcome::Simulated;
-    std::optional<sim::RunStats> fromDisk =
-        disk_ ? disk_->load(kind, u, spec) : std::nullopt;
-    if (fromDisk) {
-        diskHits_.fetch_add(1, std::memory_order_relaxed);
-        got = CacheOutcome::DiskHit;
-        st = *fromDisk;
-    } else {
-        // One span per actual cycle walk; a no-op unless --trace /
-        // GANACC_TRACE armed the sink.
-        obs::Span span("simulate", "sim",
-                       obs::TraceSink::instance().enabled()
-                           ? "{\"arch\":\"" + archKindName(kind) + "\"}"
-                           : std::string());
-        st = makeArch(kind, u)->run(spec);
-        if (disk_)
-            disk_->store(kind, u, spec, st);
-    }
-    {
-        std::unique_lock<std::shared_mutex> lk(m_);
-        map_.emplace(key, st);
-    }
-    if (outcome)
-        *outcome = got;
-    return st;
+    return std::nullopt;
+}
+
+void
+CycleCache::insert(std::string key, const sim::RunStats &stats)
+{
+    std::unique_lock<std::shared_mutex> lk(m_);
+    map_.insert_or_assign(std::move(key), stats);
 }
 
 void
@@ -166,12 +107,7 @@ CycleCache::insert(ArchKind kind, const sim::Unroll &u,
                    const sim::ConvSpec &spec,
                    const sim::RunStats &stats)
 {
-    {
-        std::unique_lock<std::shared_mutex> lk(m_);
-        map_[keyOf(kind, u, spec)] = stats;
-    }
-    if (disk_)
-        disk_->store(kind, u, spec, stats);
+    insert(keyOf(kind, u, spec), stats);
 }
 
 bool
@@ -190,7 +126,6 @@ CycleCache::clear()
     map_.clear();
     hits_.store(0);
     misses_.store(0);
-    diskHits_.store(0);
 }
 
 std::size_t
@@ -207,7 +142,6 @@ CycleCache::cacheStats() const
     s.entries = size();
     s.hits = hits();
     s.misses = misses();
-    s.diskHits = diskHits();
     return s;
 }
 
@@ -217,8 +151,6 @@ CycleCache::summary() const
     std::ostringstream os;
     os << "cycle cache: " << size() << " entries, " << hits()
        << " memory hits, " << misses() << " misses";
-    if (disk_)
-        os << " (" << diskHits() << " served by the disk tier)";
     return os.str();
 }
 

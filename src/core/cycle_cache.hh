@@ -12,15 +12,12 @@
  * once per unrolling, no matter how many design points or threads ask
  * for it. All methods are thread-safe; concurrent misses on the same
  * key may both simulate, but they compute identical values so the
- * second insert is a harmless no-op.
+ * second insert rewrites identical bytes.
  *
- * The in-memory memo dies with the process, which used to make every
- * figure regeneration start cold. An optional *disk tier* (the
- * serving subsystem's content-addressed serve::ResultStore implements
- * the StatsDiskTier interface) survives across processes: memory
- * misses consult the tier before simulating, and simulated results
- * are written through, so a repeated sweep becomes a stream of disk
- * hits instead of a re-simulation.
+ * The memo dies with the process. A persistent tier belongs to the
+ * serving daemon alone: serve::Engine looks a job up here, then in
+ * its own serve::ResultStore, and only then simulates; nothing in
+ * this layer reads or writes files.
  */
 
 #ifndef GANACC_CORE_CYCLE_CACHE_HH
@@ -40,61 +37,25 @@
 namespace ganacc {
 namespace core {
 
-/** Where a cached lookup was satisfied. */
-enum class CacheOutcome
-{
-    MemoryHit, ///< found in the in-process memo
-    DiskHit,   ///< found in the attached persistent tier
-    Simulated, ///< missed everywhere; the cycle walk ran
-};
-
-std::string cacheOutcomeName(CacheOutcome o);
-
 /** Point-in-time accounting snapshot of the CycleCache. */
 struct CacheStats
 {
-    std::size_t entries = 0;    ///< keys resident in the memo
-    std::uint64_t hits = 0;     ///< lookups served from memory
-    std::uint64_t misses = 0;   ///< lookups that left the memo
-    std::uint64_t diskHits = 0; ///< misses the disk tier absorbed
-                                ///  (subset of misses)
-
-    /** Misses that actually ran a cycle walk. */
-    std::uint64_t
-    simulated() const
-    {
-        return misses - diskHits;
-    }
+    std::size_t entries = 0;  ///< keys resident in the memo
+    std::uint64_t hits = 0;   ///< lookups served from memory
+    std::uint64_t misses = 0; ///< lookups that left the memo
 };
 
-/**
- * Interface of a persistent second cache tier keyed on the same
- * (kind, unrolling, spec) triple as the in-memory memo. Implementors
- * must be safe for concurrent calls from sweep worker threads.
- */
-class StatsDiskTier
-{
-  public:
-    virtual ~StatsDiskTier() = default;
-
-    /** The stored stats for the triple, or nullopt on a miss (absent,
-     *  stale simulator version, or corrupt entry). */
-    virtual std::optional<sim::RunStats>
-    load(ArchKind kind, const sim::Unroll &u,
-         const sim::ConvSpec &spec) = 0;
-
-    /** Persist the stats for the triple (write-through on simulate). */
-    virtual void store(ArchKind kind, const sim::Unroll &u,
-                       const sim::ConvSpec &spec,
-                       const sim::RunStats &stats) = 0;
-};
+/** One timing-only run of `spec` on `kind` with unrolling `u`: the
+ *  work a memo miss costs. Opens one "simulate" trace span, so each
+ *  real simulation is marked exactly once. */
+sim::RunStats simulate(ArchKind kind, const sim::Unroll &u,
+                       const sim::ConvSpec &spec);
 
 /**
  * Memo of timing-only runs. Historically a process singleton
  * (instance()); fleet shards hosted in one process (serve::Engine
  * with ownCache, the conformance harness, unit tests) construct
- * private instances instead so each shard has its own memory tier
- * and disk-tier attachment.
+ * private instances instead so each shard has its own memory tier.
  */
 class CycleCache
 {
@@ -115,50 +76,53 @@ class CycleCache
     CycleCache &operator=(const CycleCache &) = delete;
 
     /**
-     * The RunStats of a timing-only run of `spec` on `kind` with
-     * unrolling `u`, simulating on a miss. When `outcome` is non-null
-     * it reports which tier satisfied the lookup.
+     * The memo's entry for the triple, counting one hit or one miss.
+     * On a miss, `fill()` produces the value with no lock held; it is
+     * inserted and returned. The key is built once for both steps.
      */
-    sim::RunStats stats(ArchKind kind, const sim::Unroll &u,
-                        const sim::ConvSpec &spec,
-                        CacheOutcome *outcome = nullptr);
+    template <class Fill>
+    sim::RunStats
+    stats(ArchKind kind, const sim::Unroll &u, const sim::ConvSpec &spec,
+          Fill &&fill)
+    {
+        std::string key = keyOf(kind, u, spec);
+        if (std::optional<sim::RunStats> hit = find(key))
+            return *hit;
+        sim::RunStats st = fill();
+        insert(std::move(key), st);
+        return st;
+    }
+
+    /** The RunStats of a timing-only run of `spec` on `kind` with
+     *  unrolling `u`, simulating on a miss. */
+    sim::RunStats
+    stats(ArchKind kind, const sim::Unroll &u, const sim::ConvSpec &spec)
+    {
+        return stats(kind, u, spec, [&] { return simulate(kind, u, spec); });
+    }
 
     /**
-     * Insert an externally computed result for the triple: memory
-     * entry plus write-through to the attached disk tier. This is the
-     * replication path — a fleet peer simulated the triple and pushed
-     * the finished stats here, so the local shard can serve future
-     * lookups without its own cycle walk. Touches no hit/miss
-     * counters (nothing was looked up). Idempotent: re-inserting a
-     * resident key overwrites with identical bytes.
+     * Insert an externally computed result for the triple: the
+     * replication path, where a fleet peer simulated the triple and
+     * pushed the finished stats here. Touches no hit/miss counter.
+     * Idempotent: re-inserting a resident key overwrites with
+     * identical bytes.
      */
     void insert(ArchKind kind, const sim::Unroll &u,
                 const sim::ConvSpec &spec, const sim::RunStats &stats);
 
-    /**
-     * Attach (or with nullptr detach) the persistent tier. Non-owning;
-     * the tier must outlive every subsequent stats() call. Not
-     * thread-safe against concurrent stats() — attach before a sweep
-     * starts, detach after it drains.
-     */
-    void attachDiskTier(StatsDiskTier *tier);
-
-    StatsDiskTier *diskTier() const { return disk_; }
-
-    /** Whether the memory tier holds the triple. A pure query: it
-     *  touches no hit/miss counter and never consults the disk tier. */
+    /** Whether the memo holds the triple. A pure query: it touches
+     *  no hit/miss counter. */
     bool contains(ArchKind kind, const sim::Unroll &u,
                   const sim::ConvSpec &spec) const;
 
-    /** Drop every memory entry (for cold-cache timing comparisons);
-     *  the attached disk tier, being persistent, is untouched. */
+    /** Drop every entry and zero the counters (for cold-cache timing
+     *  comparisons). */
     void clear();
 
     std::size_t size() const;
     std::uint64_t hits() const { return hits_.load(); }
     std::uint64_t misses() const { return misses_.load(); }
-    /** Memory misses satisfied by the disk tier (subset of misses). */
-    std::uint64_t diskHits() const { return diskHits_.load(); }
 
     /** One consistent accounting snapshot (the struct the unit tests
      *  and the telemetry collector read; summary() formats it). */
@@ -169,12 +133,16 @@ class CycleCache
     std::string summary() const;
 
   private:
+    /** Every field that shapes a timing-only run, label excluded. */
+    static std::string keyOf(ArchKind kind, const sim::Unroll &u,
+                             const sim::ConvSpec &spec);
+    std::optional<sim::RunStats> find(const std::string &key);
+    void insert(std::string key, const sim::RunStats &stats);
+
     mutable std::shared_mutex m_;
     std::unordered_map<std::string, sim::RunStats> map_;
-    StatsDiskTier *disk_ = nullptr;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> diskHits_{0};
     int collector_ = -1; ///< registry token of a publishing instance
 };
 

@@ -391,9 +391,8 @@ serveListener(int listener, Engine &engine,
     return totals;
 }
 
-ServeTotals
-runSocketServer(const std::string &path, Engine &engine,
-                const std::atomic<bool> &stop)
+int
+listenUnix(const std::string &path)
 {
     if (path.empty())
         util::fatal("socket server needs a non-empty path");
@@ -414,8 +413,15 @@ runSocketServer(const std::string &path, Engine &engine,
         util::fatal("bind(", path, "): ", std::strerror(errno));
     if (::listen(listener, 64) != 0)
         util::fatal("listen(", path, "): ", std::strerror(errno));
+    return listener;
+}
 
-    const ServeTotals totals = serveListener(listener, engine, stop);
+ServeTotals
+runSocketServer(const std::string &path, Engine &engine,
+                const std::atomic<bool> &stop)
+{
+    const ServeTotals totals =
+        serveListener(listenUnix(path), engine, stop);
     ::unlink(path.c_str());
     return totals;
 }

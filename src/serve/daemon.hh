@@ -47,10 +47,16 @@ ServeTotals runPipeServer(std::istream &in, std::ostream &out,
                           Engine &engine);
 
 /**
- * Socket mode: listen on the Unix-domain socket at `path` (unlinking
- * a stale file first), serve every connection with the pipe loop,
- * and return once `*stop` becomes true and live connections finish.
- * Throws util::FatalError when the socket cannot be created.
+ * Create a listening Unix-domain socket at `path`, unlinking a stale
+ * file first. Returns the listener fd. Throws util::FatalError when
+ * the socket cannot be created.
+ */
+int listenUnix(const std::string &path);
+
+/**
+ * Socket mode: listenUnix() + serveListener(), then remove the
+ * socket file. Returns once `*stop` becomes true and live
+ * connections finish.
  */
 ServeTotals runSocketServer(const std::string &path, Engine &engine,
                             const std::atomic<bool> &stop);
@@ -66,12 +72,12 @@ ServeTotals runSocketServer(const std::string &path, Engine &engine,
 int listenTcp(const std::string &hostport, std::string *boundAddr);
 
 /**
- * Serve an already-listening socket (from listenTcp(), or any bound +
- * listening stream socket) with the shared accept loop: one thread
- * per connection, ordered responses, SIGUSR1 metrics dumps serviced
- * between polls. Returns once `*stop` becomes true, live connections
- * finish their buffered requests, and the engine drains. Closes the
- * listener.
+ * Serve an already-listening socket (from listenUnix(), listenTcp(),
+ * or any bound + listening stream socket) with the shared accept
+ * loop: one thread per connection, ordered responses, SIGUSR1
+ * metrics dumps serviced between polls. Returns once `*stop` becomes
+ * true, live connections finish their buffered requests, and the
+ * engine drains. Closes the listener.
  */
 ServeTotals serveListener(int listener, Engine &engine,
                           const std::atomic<bool> &stop);

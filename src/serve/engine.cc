@@ -5,6 +5,7 @@
 
 #include "serve/engine.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 
@@ -67,23 +68,52 @@ familyByName(const std::string &name)
                 "\" (D, G, Dw, Gw)");
 }
 
-/** sim > disk > mem: an aggregate is only as warm as its coldest job. */
-int
-coldness(core::CacheOutcome o)
+/** Where one job was answered, warmest first: an aggregate is only
+ *  as warm as its coldest job. */
+enum class Tier
 {
-    switch (o) {
-      case core::CacheOutcome::MemoryHit: return 0;
-      case core::CacheOutcome::DiskHit: return 1;
-      case core::CacheOutcome::Simulated: return 2;
+    Mem,
+    Disk,
+    Sim,
+};
+
+const char *
+tierName(Tier t)
+{
+    switch (t) {
+      case Tier::Mem: return "mem";
+      case Tier::Disk: return "disk";
+      case Tier::Sim: return "sim";
     }
-    return 2;
+    return "?";
+}
+
+/** One job through the tiers: the memo, then the store (when there
+ *  is one), then a simulation written through both. Raises `worst`
+ *  to the tier that answered. */
+sim::RunStats
+lookup(core::CycleCache &cache, ResultStore *store, core::ArchKind kind,
+       const sim::Unroll &u, const sim::ConvSpec &spec, Tier &worst)
+{
+    return cache.stats(kind, u, spec, [&] {
+        std::optional<sim::RunStats> st =
+            store ? store->load(kind, u, spec) : std::nullopt;
+        if (st) {
+            worst = std::max(worst, Tier::Disk);
+            return *st;
+        }
+        worst = Tier::Sim;
+        st = core::simulate(kind, u, spec);
+        if (store)
+            store->store(kind, u, spec, *st);
+        return *st;
+    });
 }
 
 } // namespace
 
 Engine::Engine(const EngineOptions &opts)
     : opts_(opts),
-      cache_(opts.ownCache ? std::string() : opts.cacheDir),
       pool_(std::make_unique<util::ThreadPool>(opts.jobs)),
       mRequests_(obs::Registry::instance().counter(
           "ganacc_serve_requests_total", "requests admitted")),
@@ -92,7 +122,7 @@ Engine::Engine(const EngineOptions &opts)
       mMemHits_(obs::Registry::instance().counter(
           "ganacc_serve_mem_hits_total",
           "responses served from the memory tier")),
-      mDiskHits_(obs::Registry::instance().counter(
+      mFromDisk_(obs::Registry::instance().counter(
           "ganacc_serve_disk_hits_total",
           "responses served from the disk tier")),
       mSimulated_(obs::Registry::instance().counter(
@@ -127,14 +157,11 @@ Engine::Engine(const EngineOptions &opts)
 {
     if (opts_.maxQueue == 0)
         util::fatal("engine: maxQueue must be positive");
-    if (opts_.ownCache) {
+    if (opts_.ownCache)
         ownCache_ =
             std::make_unique<core::CycleCache>(/*publishMetrics=*/true);
-        if (!opts_.cacheDir.empty()) {
-            ownStore_ = std::make_unique<ResultStore>(opts_.cacheDir);
-            ownCache_->attachDiskTier(ownStore_.get());
-        }
-    }
+    if (!opts_.cacheDir.empty())
+        store_ = std::make_unique<ResultStore>(opts_.cacheDir);
 }
 
 core::CycleCache &
@@ -163,11 +190,12 @@ Engine::executeSpec(const Request &req)
 {
     Response rsp;
     rsp.id = req.id;
-    core::CacheOutcome worst = core::CacheOutcome::MemoryHit;
-    auto &cache = liveCache();
+    Tier worst = Tier::Mem;
+    core::CycleCache &cache = liveCache();
     if (req.hasSpec) {
         req.spec.validate();
-        rsp.stats = cache.stats(req.kind, req.unroll, req.spec, &worst);
+        rsp.stats = lookup(cache, store_.get(), req.kind, req.unroll,
+                           req.spec, worst);
     } else {
         const gan::GanModel model = modelByName(req.model);
         const auto jobs =
@@ -175,18 +203,15 @@ Engine::executeSpec(const Request &req)
         if (jobs.empty())
             util::fatal("model \"", req.model, "\" family \"",
                         req.family, "\" has no jobs");
-        for (const auto &job : jobs) {
-            core::CacheOutcome o = core::CacheOutcome::Simulated;
-            rsp.stats += cache.stats(req.kind, req.unroll, job, &o);
-            if (coldness(o) > coldness(worst))
-                worst = o;
-        }
+        for (const auto &job : jobs)
+            rsp.stats += lookup(cache, store_.get(), req.kind,
+                                req.unroll, job, worst);
     }
     rsp.ok = true;
     rsp.simVersion = simulatorVersion();
     rsp.arch = core::archKindName(req.kind);
     rsp.unroll = req.unroll;
-    rsp.cache = core::cacheOutcomeName(worst);
+    rsp.cache = tierName(worst);
     return rsp;
 }
 
@@ -203,6 +228,8 @@ Engine::executePut(const Request &req)
                     req.putSimVersion, "\", this daemon runs \"",
                     simulatorVersion(), "\"");
     liveCache().insert(req.kind, req.unroll, req.spec, req.putStats);
+    if (store_)
+        store_->store(req.kind, req.unroll, req.spec, req.putStats);
     Response rsp;
     rsp.id = req.id;
     rsp.ok = true;
@@ -330,7 +357,7 @@ Engine::execute(const Request &req, std::uint64_t admitUs)
     else if (rsp.cache == "mem")
         mMemHits_.add(1);
     else if (rsp.cache == "disk")
-        mDiskHits_.add(1);
+        mFromDisk_.add(1);
     else
         mSimulated_.add(1);
     mLatencyUs_.observe(elapsed_us);
@@ -383,11 +410,11 @@ Engine::answersInline(const Request &req) const
         return true;
     if (req.put || !sim::fastPathEnabled())
         return false;
-    // With a persistent tier attached, a memory miss reads and writes
-    // files: that I/O belongs on the pool, where misses overlap.
-    const core::CycleCache &cache = liveCache();
-    return !cache.diskTier() ||
-           (req.hasSpec && cache.contains(req.kind, req.unroll, req.spec));
+    // With a store, a memory miss reads and writes files: that I/O
+    // belongs on the pool, where misses overlap.
+    return !store_ ||
+           (req.hasSpec &&
+            liveCache().contains(req.kind, req.unroll, req.spec));
 }
 
 Response
@@ -635,8 +662,8 @@ Engine::summary() const
         std::to_string(c.puts) + " puts, " +
         std::to_string(c.overloaded) + " overloaded, " +
         std::to_string(c.errors) + " errors";
-    if (store())
-        out += "; " + store()->summary();
+    if (store_)
+        out += "; " + store_->summary();
     return out;
 }
 

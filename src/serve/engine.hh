@@ -26,8 +26,10 @@
  *        reported with cache status "dup".
  *
  * Both paths share the lookup chain (CycleCache memory tier, then the
- * optional persistent ResultStore tier, then the simulation, written
- * through both tiers), the counters, the metrics and the span batch.
+ * engine's own persistent ResultStore when EngineOptions::cacheDir
+ * names one, then the simulation, written through both tiers), the
+ * counters, the metrics and the span batch. The store is this
+ * engine's alone: no other code in the process reads or writes it.
  * drain() stops admitting on both and waits for everything in flight
  * on either — the SIGTERM path.
  *
@@ -50,6 +52,7 @@
 #include <optional>
 #include <string>
 
+#include "core/cycle_cache.hh"
 #include "obs/metrics.hh"
 #include "serve/protocol.hh"
 #include "serve/result_store.hh"
@@ -63,16 +66,16 @@ struct EngineOptions
 {
     int jobs = 0; ///< worker threads (0 = GANACC_JOBS / hardware)
     std::size_t maxQueue = 256; ///< admission bound (backpressure)
-    std::string cacheDir;       ///< persistent tier; "" = memory only
+    std::string cacheDir;       ///< this engine's store; "" = none
     /// Golden mode: report latencyUs as 0 so responses byte-compare.
     bool deterministic = false;
 
-    /// Own the memory tier (a private core::CycleCache + ResultStore)
-    /// instead of sharing the process singleton. Fleet shards hosted
-    /// in one process (tests, the conformance harness, the bench)
-    /// need this so each shard has its own tiers; a standalone
-    /// ganacc-served keeps the singleton so sweeps and the daemon
-    /// share warm entries.
+    /// Own the memory tier (a private core::CycleCache) instead of
+    /// sharing the process singleton. Fleet shards hosted in one
+    /// process (tests, the conformance harness, the bench) need this
+    /// so each shard has its own memo; a standalone ganacc-served
+    /// keeps the singleton. The store of `cacheDir` is the engine's
+    /// own either way.
     bool ownCache = false;
 
     /// Admission policy at a full queue: false = block the submitter
@@ -124,11 +127,10 @@ class Engine
     /**
      * True when answer() serves `req` without a cycle walk or file
      * I/O: the probes, and spec or model/family requests while the
-     * closed form is active (sim::fastPathEnabled()) — with a
-     * persistent tier attached, only spec requests the memory tier
-     * already holds. Puts, every request under GANACC_ENGINE=walk and
-     * the persistent tier's misses belong on submit(), where they
-     * overlap.
+     * closed form is active (sim::fastPathEnabled()) — with a store,
+     * only spec requests the memory tier already holds. Puts, every
+     * request under GANACC_ENGINE=walk and the memory tier's misses
+     * under a store belong on submit(), where they overlap.
      */
     bool answersInline(const Request &req) const;
 
@@ -148,10 +150,8 @@ class Engine
     /** One-line load/cache summary for logs and bench output. */
     std::string summary() const;
 
-    ResultStore *store() const
-    {
-        return ownStore_ ? ownStore_.get() : cache_.store();
-    }
+    /** This engine's persistent tier; nullptr without cacheDir. */
+    ResultStore *store() const { return store_.get(); }
 
     /** Drop every memory-tier entry of the cache this engine uses
      *  (the private one under ownCache, the singleton otherwise). */
@@ -177,9 +177,8 @@ class Engine
     core::CycleCache &liveCache() const;
 
     EngineOptions opts_;
-    ScopedDiskCache cache_;
-    /// ownCache mode only: this engine's private tiers.
-    std::unique_ptr<ResultStore> ownStore_;
+    std::unique_ptr<ResultStore> store_;
+    /// ownCache mode only: this engine's private memory tier.
     std::unique_ptr<core::CycleCache> ownCache_;
     std::unique_ptr<util::ThreadPool> pool_;
 
@@ -201,7 +200,7 @@ class Engine
     obs::Counter &mRequests_;
     obs::Counter &mErrors_;
     obs::Counter &mMemHits_;
-    obs::Counter &mDiskHits_;
+    obs::Counter &mFromDisk_;
     obs::Counter &mSimulated_;
     obs::Counter &mDeduped_;
     obs::Counter &mStatsProbes_;

@@ -257,19 +257,5 @@ ResultStore::summary() const
     return os.str();
 }
 
-ScopedDiskCache::ScopedDiskCache(const std::string &dir)
-{
-    if (dir.empty())
-        return;
-    store_ = std::make_unique<ResultStore>(dir);
-    core::CycleCache::instance().attachDiskTier(store_.get());
-}
-
-ScopedDiskCache::~ScopedDiskCache()
-{
-    if (store_)
-        core::CycleCache::instance().attachDiskTier(nullptr);
-}
-
 } // namespace serve
 } // namespace ganacc

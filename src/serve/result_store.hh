@@ -27,9 +27,10 @@
  *    from a pre-atomic writer), is renamed to `<key>.quarantined` for
  *    post-mortem and read as a miss.
  *
- * The store implements core::StatsDiskTier, so attaching it to the
- * CycleCache gives every sweep, figure bench and fault campaign a
- * cross-process cache with no further plumbing.
+ * Only the serving daemon holds a store: serve::Engine opens one for
+ * EngineOptions::cacheDir and consults it between its memory tier
+ * and a simulation, writing fresh results through. Sweeps, benches
+ * and fault campaigns keep to the in-process core::CycleCache.
  */
 
 #ifndef GANACC_SERVE_RESULT_STORE_HH
@@ -37,11 +38,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
-#include "core/cycle_cache.hh"
+#include "core/unrolling.hh"
 #include "serve/protocol.hh"
 
 namespace ganacc {
@@ -76,7 +76,7 @@ struct StoreCounters
 };
 
 /** A directory of content-addressed RunStats entries. */
-class ResultStore : public core::StatsDiskTier
+class ResultStore
 {
   public:
     /**
@@ -88,13 +88,15 @@ class ResultStore : public core::StatsDiskTier
     explicit ResultStore(std::string dir,
                          std::string version = simulatorVersion());
 
+    /** The stored stats for the triple, or nullopt on a miss
+     *  (absent, stale simulator version, or corrupt entry). */
     std::optional<sim::RunStats> load(core::ArchKind kind,
                                       const sim::Unroll &u,
-                                      const sim::ConvSpec &spec) override;
+                                      const sim::ConvSpec &spec);
 
+    /** Persist the stats for the triple (atomic write-through). */
     void store(core::ArchKind kind, const sim::Unroll &u,
-               const sim::ConvSpec &spec,
-               const sim::RunStats &stats) override;
+               const sim::ConvSpec &spec, const sim::RunStats &stats);
 
     const std::string &dir() const { return dir_; }
     const std::string &version() const { return version_; }
@@ -116,7 +118,7 @@ class ResultStore : public core::StatsDiskTier
     std::string entryPath(core::ArchKind kind, const sim::Unroll &u,
                           const sim::ConvSpec &spec) const;
 
-    ~ResultStore() override;
+    ~ResultStore();
 
   private:
     std::string dir_;
@@ -127,28 +129,6 @@ class ResultStore : public core::StatsDiskTier
     std::atomic<std::uint64_t> corrupt_{0};
     std::atomic<std::uint64_t> writes_{0};
     int collector_ = -1; ///< telemetry-registry collector token
-};
-
-/**
- * Convenience for the --cache-dir/GANACC_CACHE_DIR knob: when `dir`
- * is non-empty, open a store there and attach it to the process-wide
- * CycleCache; the returned handle detaches on destruction. Returns
- * nullptr (and attaches nothing) for an empty dir.
- */
-class ScopedDiskCache
-{
-  public:
-    explicit ScopedDiskCache(const std::string &dir);
-    ~ScopedDiskCache();
-
-    ScopedDiskCache(const ScopedDiskCache &) = delete;
-    ScopedDiskCache &operator=(const ScopedDiskCache &) = delete;
-
-    bool attached() const { return store_ != nullptr; }
-    ResultStore *store() const { return store_.get(); }
-
-  private:
-    std::unique_ptr<ResultStore> store_;
 };
 
 } // namespace serve

@@ -134,19 +134,6 @@ ArgParser::getJobs()
 }
 
 std::string
-ArgParser::getCacheDir()
-{
-    std::string dir = getString(
-        "cache-dir", "",
-        "persistent result-store directory (default: GANACC_CACHE_DIR "
-        "env; empty = no disk cache)");
-    if (!dir.empty())
-        return dir;
-    const char *env = std::getenv("GANACC_CACHE_DIR");
-    return env ? env : "";
-}
-
-std::string
 ArgParser::getTracePath()
 {
     registerFlag("trace", "off",

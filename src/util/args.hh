@@ -52,14 +52,6 @@ class ArgParser
     int getJobs();
 
     /**
-     * Persistent result-cache directory for the serving subsystem's
-     * disk tier: registers "--cache-dir PATH"; an explicit path wins,
-     * then the GANACC_CACHE_DIR environment variable, else "" (disk
-     * tier off).
-     */
-    std::string getCacheDir();
-
-    /**
      * Telemetry trace output for the observability layer: registers
      * "--trace [PATH]"; an explicit path wins, a bare --trace selects
      * "ganacc_trace.json", then the GANACC_TRACE environment

@@ -3,8 +3,7 @@
  * Persistent result-store tests: round-trips, version-stamp
  * self-invalidation (an entry written by an older simulator reads as
  * a miss and is overwritten), corrupt-entry quarantine, atomicity
- * under concurrent writers, and the ScopedDiskCache attachment that
- * wires the store under the process-wide CycleCache.
+ * under concurrent writers.
  */
 
 #include <gtest/gtest.h>
@@ -49,7 +48,6 @@ class ResultStoreTest : public ::testing::Test
     void
     TearDown() override
     {
-        core::CycleCache::instance().attachDiskTier(nullptr);
         fs::remove_all(dir_);
     }
 
@@ -65,13 +63,6 @@ sampleSpec(std::size_t i = 0)
     return jobs[i % jobs.size()];
 }
 
-sim::RunStats
-simulate(core::ArchKind kind, const sim::Unroll &u,
-         const sim::ConvSpec &spec)
-{
-    return core::makeArch(kind, u)->run(spec);
-}
-
 TEST_F(ResultStoreTest, RoundTripAndCounters)
 {
     serve::ResultStore store(dir_);
@@ -83,7 +74,7 @@ TEST_F(ResultStoreTest, RoundTripAndCounters)
     EXPECT_FALSE(store.load(kind, u, spec).has_value());
     EXPECT_EQ(store.counters().misses, 1u);
 
-    const sim::RunStats st = simulate(kind, u, spec);
+    const sim::RunStats st = core::simulate(kind, u, spec);
     store.store(kind, u, spec, st);
     EXPECT_EQ(store.counters().writes, 1u);
     EXPECT_EQ(store.entryCount(), 1u);
@@ -122,7 +113,7 @@ TEST_F(ResultStoreTest, StaleVersionReadsAsMissAndIsOverwritten)
     const sim::Unroll u = core::paperUnroll(
         kind, core::BankRole::ST, sim::PhaseFamily::G, 1200);
     const sim::ConvSpec spec = sampleSpec(1);
-    const sim::RunStats st = simulate(kind, u, spec);
+    const sim::RunStats st = core::simulate(kind, u, spec);
 
     // An older simulator wrote this entry...
     {
@@ -164,7 +155,7 @@ TEST_F(ResultStoreTest, CorruptEntryIsQuarantined)
     const sim::Unroll u = core::paperUnroll(
         kind, core::BankRole::W, sim::PhaseFamily::Dw, 480);
     const sim::ConvSpec spec = sampleSpec(2);
-    store.store(kind, u, spec, simulate(kind, u, spec));
+    store.store(kind, u, spec, core::simulate(kind, u, spec));
 
     // Truncate the entry mid-object, as a torn pre-atomic writer
     // would have left it.
@@ -180,7 +171,7 @@ TEST_F(ResultStoreTest, CorruptEntryIsQuarantined)
         << "corrupt entries must be kept for post-mortem";
 
     // The address is usable again immediately.
-    store.store(kind, u, spec, simulate(kind, u, spec));
+    store.store(kind, u, spec, core::simulate(kind, u, spec));
     EXPECT_TRUE(store.load(kind, u, spec).has_value());
 }
 
@@ -213,11 +204,11 @@ TEST_F(ResultStoreTest, ZeroByteEntryIsQuarantined)
     // A second probe is a clean miss, and write-through repairs it.
     EXPECT_FALSE(store.load(kind, u, spec).has_value());
     EXPECT_EQ(store.counters().misses, 1u);
-    store.store(kind, u, spec, simulate(kind, u, spec));
+    store.store(kind, u, spec, core::simulate(kind, u, spec));
     const auto back = store.load(kind, u, spec);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(sim::toJson(*back),
-              sim::toJson(simulate(kind, u, spec)));
+              sim::toJson(core::simulate(kind, u, spec)));
 }
 
 TEST_F(ResultStoreTest, ConcurrentWritersAgree)
@@ -226,7 +217,7 @@ TEST_F(ResultStoreTest, ConcurrentWritersAgree)
     const sim::Unroll u = core::paperUnroll(
         kind, core::BankRole::ST, sim::PhaseFamily::D, 1200);
     const sim::ConvSpec spec = sampleSpec();
-    const sim::RunStats st = simulate(kind, u, spec);
+    const sim::RunStats st = core::simulate(kind, u, spec);
     const std::string want = sim::toJson(st);
 
     // Many threads, each its own store handle (as separate processes
@@ -253,41 +244,6 @@ TEST_F(ResultStoreTest, ConcurrentWritersAgree)
     EXPECT_EQ(store.entryCount(), 1u)
         << "no leaked tmp files after racing renames";
     EXPECT_TRUE(store.load(kind, u, spec).has_value());
-}
-
-TEST_F(ResultStoreTest, ScopedDiskCacheAttachesAndDetaches)
-{
-    auto &cache = core::CycleCache::instance();
-    cache.clear();
-    EXPECT_EQ(cache.diskTier(), nullptr);
-    {
-        serve::ScopedDiskCache scoped(dir_);
-        ASSERT_TRUE(scoped.attached());
-        EXPECT_EQ(cache.diskTier(), scoped.store());
-
-        // A cachedRun writes through to disk; a cleared memory cache
-        // then reads it back from the tier.
-        const core::ArchKind kind = core::ArchKind::NLR;
-        const sim::Unroll u = core::paperUnroll(
-            kind, core::BankRole::ST, sim::PhaseFamily::D, 1200);
-        const sim::ConvSpec spec = sampleSpec();
-        core::CacheOutcome outcome;
-        const sim::RunStats first =
-            cache.stats(kind, u, spec, &outcome);
-        EXPECT_EQ(outcome, core::CacheOutcome::Simulated);
-        cache.clear();
-        const sim::RunStats second =
-            cache.stats(kind, u, spec, &outcome);
-        EXPECT_EQ(outcome, core::CacheOutcome::DiskHit);
-        EXPECT_EQ(sim::toJson(first), sim::toJson(second));
-        EXPECT_GE(cache.diskHits(), 1u);
-    }
-    EXPECT_EQ(cache.diskTier(), nullptr);
-
-    // Empty dir => no store, nothing attached.
-    serve::ScopedDiskCache off("");
-    EXPECT_FALSE(off.attached());
-    EXPECT_EQ(cache.diskTier(), nullptr);
 }
 
 } // namespace

@@ -27,6 +27,7 @@
 #include "conform/ops.hh"
 #include "conform/reference.hh"
 #include "core/cycle_cache.hh"
+#include "obs/probe.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 #include "serve/engine.hh"
@@ -187,26 +188,19 @@ TEST(ServeDrain, SigtermMidBurstAnswersEveryAcceptedRequest)
 
 namespace {
 
-/** A disk tier whose every load blocks until release(): it holds a
- *  request mid-execution for as long as a test needs. */
-class GateTier : public core::StatsDiskTier
+/** A run probe whose every call blocks until release(): it holds a
+ *  request mid-simulation for as long as a test needs. It fires on
+ *  the closed-form path too, so it can hold an inline answer. */
+class GateProbe : public obs::Probe
 {
   public:
-    std::optional<sim::RunStats>
-    load(core::ArchKind, const sim::Unroll &,
-         const sim::ConvSpec &) override
+    void
+    onRun(const obs::RunSample &) override
     {
         std::unique_lock<std::mutex> lk(m_);
         entered_ = true;
         cv_.notify_all();
         cv_.wait(lk, [&] { return open_; });
-        return std::nullopt;
-    }
-
-    void
-    store(core::ArchKind, const sim::Unroll &, const sim::ConvSpec &,
-          const sim::RunStats &) override
-    {
     }
 
     void
@@ -240,14 +234,15 @@ TEST(ServeDrain, InlineAnswersAreFencedLikePooledOnes)
     req.id = 11;
 
     core::CycleCache::instance().clear();
-    GateTier gate;
-    core::CycleCache::instance().attachDiskTier(&gate);
+    GateProbe gate;
+    obs::setRunProbe(&gate);
     serve::EngineOptions eo;
     eo.jobs = 1;
     eo.deterministic = true;
     serve::Engine engine(eo);
 
-    // An inline answer held mid-lookup is in flight: drain() waits.
+    // An inline answer held mid-simulation is in flight: drain()
+    // waits.
     serve::Response rsp;
     std::thread inlineAnswer([&] { rsp = engine.answer(req); });
     gate.waitEntered();
@@ -262,7 +257,7 @@ TEST(ServeDrain, InlineAnswersAreFencedLikePooledOnes)
     gate.release();
     inlineAnswer.join();
     drainer.join();
-    core::CycleCache::instance().attachDiskTier(nullptr);
+    obs::setRunProbe(nullptr);
     ASSERT_TRUE(rsp.ok) << rsp.error;
     EXPECT_TRUE(sim::statsEqual(
         rsp.stats, conform::ReferenceModel::directStats(

@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -119,7 +120,6 @@ class ServeServiceTest : public ::testing::Test
     void
     TearDown() override
     {
-        core::CycleCache::instance().attachDiskTier(nullptr);
         fs::remove_all(dir_);
     }
 
@@ -195,6 +195,62 @@ TEST_F(ServeServiceTest, EveryTierServesIdenticalBits)
     EXPECT_EQ(rsp.cache, "disk");
     EXPECT_EQ(sim::toJson(rsp.stats), sim::toJson(direct));
     engine.drain();
+}
+
+TEST_F(ServeServiceTest, EachEngineWritesThroughToItsOwnStoreOnly)
+{
+    Rng rng(0x0D15C);
+    std::uint64_t nextId = 1;
+    auto fresh = [&] {
+        serve::Request req;
+        req.id = nextId++;
+        req.kind = core::ArchKind::ZFOST;
+        req.unroll = smallUnroll(rng);
+        req.hasSpec = true;
+        req.spec = randomSpec(rng);
+        return req;
+    };
+    auto writes = [](const serve::Engine &e) {
+        return e.store()->counters().writes;
+    };
+    serve::EngineOptions optsA;
+    optsA.jobs = 1;
+    optsA.cacheDir = dir_ + "/a";
+    serve::EngineOptions optsB = optsA;
+    optsB.cacheDir = dir_ + "/b";
+
+    // Two store-backed engines in one process: each simulation lands
+    // in the store of the engine that ran it.
+    auto a = std::make_unique<serve::Engine>(optsA);
+    auto b = std::make_unique<serve::Engine>(optsB);
+    EXPECT_EQ(a->handle(fresh()).cache, "sim");
+    EXPECT_EQ(b->handle(fresh()).cache, "sim");
+    EXPECT_EQ(writes(*a), 1u);
+    EXPECT_EQ(writes(*b), 1u);
+
+    // Destroying one engine leaves the other writing through, in
+    // either order of construction.
+    b.reset();
+    EXPECT_EQ(a->handle(fresh()).cache, "sim");
+    EXPECT_EQ(writes(*a), 2u);
+    b = std::make_unique<serve::Engine>(optsB);
+    a.reset();
+    EXPECT_EQ(b->handle(fresh()).cache, "sim");
+    EXPECT_EQ(writes(*b), 1u);
+    EXPECT_EQ(b->store()->entryCount(), 2u);
+    a = std::make_unique<serve::Engine>(optsA);
+    EXPECT_EQ(a->store()->entryCount(), 2u);
+
+    // A sweep's core::cachedRun beside store-backed engines simulates
+    // into the memo and writes no store entry.
+    for (int i = 0; i < 9; ++i) {
+        const serve::Request req = fresh();
+        core::cachedRun(req.kind, req.unroll, req.spec);
+    }
+    EXPECT_EQ(writes(*a), 0u);
+    EXPECT_EQ(writes(*b), 1u);
+    EXPECT_EQ(a->store()->entryCount(), 2u);
+    EXPECT_EQ(b->store()->entryCount(), 2u);
 }
 
 TEST_F(ServeServiceTest, PipeTransportPreservesBitIdentity)

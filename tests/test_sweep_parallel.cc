@@ -193,9 +193,6 @@ TEST(SweepParallel, CacheStatsSnapshotTracksHitMissAccounting)
     EXPECT_EQ(after.entries, 1u);
     EXPECT_EQ(after.hits, before.hits + 1);
     EXPECT_EQ(after.misses, before.misses + 1);
-    // No disk tier attached: every miss ran a cycle walk.
-    EXPECT_EQ(after.diskHits, before.diskHits);
-    EXPECT_EQ(after.simulated(), after.misses - after.diskHits);
 }
 
 } // namespace

@@ -20,12 +20,10 @@
 #include <sstream>
 #include <string>
 
-#include "core/cycle_cache.hh"
 #include "fault/campaign.hh"
 #include "fault/fault_plan.hh"
 #include "fault/mem_faults.hh"
 #include "gan/models.hh"
-#include "serve/result_store.hh"
 #include "sim/phase.hh"
 #include "util/args.hh"
 #include "util/logging.hh"
@@ -189,10 +187,6 @@ try {
     const bool no_ablation = args.getFlag(
         "no-nlr-skip", "drop the improved-NLR ablation column");
     const int jobs = args.getJobs();
-    // Fault-free reference runs go through the cycle cache, so a
-    // campaign benefits from a warm result store like any sweep; the
-    // summary goes to stderr to keep --format json parseable.
-    serve::ScopedDiskCache disk_cache(args.getCacheDir());
     if (args.helpRequested()) {
         args.usage(std::cout);
         return 0;
@@ -271,10 +265,6 @@ try {
             std::cout << "  parameter rmse: " << deg.weightRmse << "\n";
         }
     }
-    std::cerr << "[" << core::CycleCache::instance().summary();
-    if (disk_cache.attached())
-        std::cerr << "; " << disk_cache.store()->summary();
-    std::cerr << "]\n";
     return 0;
 } catch (const util::FatalError &e) {
     std::cerr << "ganacc-faultsim: " << e.what() << "\n";

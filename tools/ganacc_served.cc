@@ -6,8 +6,8 @@
  * clients submit (architecture, unrolling, job) requests over a
  * Unix-domain socket (or stdin/stdout in --pipe mode, which is what
  * CI's golden replay uses) and get canonical RunStats back, served
- * from the in-memory cycle cache, the persistent result store
- * (--cache-dir / GANACC_CACHE_DIR), or a fresh cycle walk — always
+ * from the in-memory cycle cache, the daemon's persistent result
+ * store (--cache-dir), or a fresh cycle walk — always
  * bit-identical to direct in-process simulation.
  *
  *   ganacc-served --socket /tmp/ganacc.sock --cache-dir ~/.ganacc
@@ -70,7 +70,10 @@ try {
         "the reader (fleet admission control)");
     const bool pipe_mode = args.getFlag(
         "pipe", "serve stdin -> stdout instead of a socket");
-    const std::string cache_dir = args.getCacheDir();
+    const std::string cache_dir = args.getString(
+        "cache-dir", "",
+        "persistent result-store directory (empty = memory tier "
+        "only)");
     const int jobs = args.getJobs();
     const int max_queue = args.getInt(
         "max-queue", 256,
